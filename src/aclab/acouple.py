@@ -100,6 +100,16 @@ def der(gamma: ExtLike) -> ExtLike:
     return gamma + psi(gamma)
 
 
+def first_non_one(gamma: GroupElem) -> int:
+    """The first index whose coordinate is not 1 (absent coordinates are 0)."""
+    n = 0
+    for index, coeff in gamma.items:
+        if index > n or coeff != 1:
+            break
+        n = index + 1
+    return n
+
+
 def integrate(gamma: GroupElem) -> GroupElem:
     """The unique alpha with der(alpha) = gamma; total and never zero.
 
@@ -107,13 +117,7 @@ def integrate(gamma: GroupElem) -> GroupElem:
     zeroes all coordinates below n, drops coordinate n by 1, and keeps
     the rest.
     """
-    n = 0
-    for index, coeff in gamma.items:
-        if index > n:
-            break
-        if coeff != 1:
-            break
-        n = index + 1
+    n = first_non_one(gamma)
     pairs = [(n, gamma.coeff(n) - 1)]
     pairs.extend((i, c) for i, c in gamma.items if i > n)
     return GroupElem(pairs)
@@ -121,14 +125,7 @@ def integrate(gamma: GroupElem) -> GroupElem:
 
 def successor(gamma: GroupElem) -> GroupElem:
     """psi of the integral: the prefix vector at the first non-1 coefficient."""
-    n = 0
-    for index, coeff in gamma.items:
-        if index > n:
-            break
-        if coeff != 1:
-            break
-        n = index + 1
-    return ones(n + 1)
+    return ones(first_non_one(gamma) + 1)
 
 
 def chi(gamma: GroupElem) -> GroupElem:

@@ -18,7 +18,6 @@ from typing import Optional, Union
 
 from . import extend, pcseq, setprops
 from .acouple import (
-    Report,
     classify_couple,
     closure_count,
     conformance_grid,
@@ -422,80 +421,40 @@ def parse_vector(text: str) -> GroupElem:
 
 
 # ---------------------------------------------------------------------------
-# Suites registry.
+# Suites registry: name -> (runner over the parsed arguments, default --cases).
 
-def _suite_couple(cases: int, seed: int, length: int) -> Report:
-    return verify_couple_axioms(cases, seed, "logfull")
-
-
-def _suite_couple_gap(cases: int, seed: int, length: int) -> Report:
-    return verify_couple_axioms(cases, seed, "loggap")
-
-
-def _suite_identities(cases: int, seed: int, length: int) -> Report:
-    return identity_suite(cases, seed)
-
-
-def _suite_grid(cases: int, seed: int, length: int) -> Report:
-    return conformance_grid()
-
-
-def _suite_field(cases: int, seed: int, length: int) -> Report:
-    return check_axioms(cases, seed)
-
-
-def _suite_jammedness(cases: int, seed: int, length: int) -> Report:
-    fails = setprops.DownClosure(setprops.IntImage(
-        extend.s_descriptor(extend.smallint_example())))
-    return setprops.jammedness_suite(seed=seed, fails_descriptor=fails)
-
-
-def _suite_exclusion(cases: int, seed: int, length: int) -> Report:
-    return setprops.exclusion_suite(_exclusion_descriptors(), cases, seed)
+_CLOSED_SMALL = setprops.DownClosure(setprops.IntImage(extend.ExtS(extend.SMALL_INT)))
 
 
 def _exclusion_descriptors() -> list[tuple[str, setprops.SetDescriptor]]:
-    small = extend.s_descriptor(extend.smallint_example())
-    big = extend.s_descriptor(extend.bigint_example())
+    small = extend.ExtS(extend.SMALL_INT)
     return [
         ("negative-cone", setprops.LessThan(GroupElem.ZERO)),
         ("principal", setprops.LessThan(GroupElem([(0, 1)]))),
         ("psi-down", setprops.PSI_DOWN),
         ("small-integrals", small),
-        ("big-integrals", big),
+        ("big-integrals", extend.ExtS(extend.BIG_INT)),
         ("integrated-small", setprops.IntImage(small)),
-        ("closed-small", setprops.DownClosure(setprops.IntImage(small))),
+        ("closed-small", _CLOSED_SMALL),
         ("capped", setprops.LessEq(GroupElem([(1, 1)]))),
     ]
 
 
-def _suite_lambda(cases: int, seed: int, length: int) -> Report:
-    return pcseq.lambda_suite(prefix_len=length, corpus_size=cases, seed=seed)
-
-
-def _suite_kaplansky(cases: int, seed: int, length: int) -> Report:
-    return pcseq.kaplansky_suite()
-
-
-def _make_extend_suite(kind: str):
-    def run(cases: int, seed: int, length: int) -> Report:
-        return extend.verify_downward_no_max(extend.example(kind), cases, seed)
-    return run
-
-
 SUITES = {
-    "couple": (_suite_couple, 10000),
-    "couple-gap": (_suite_couple_gap, 10000),
-    "identities": (_suite_identities, 10000),
-    "grid": (_suite_grid, 0),
-    "field": (_suite_field, 1000),
-    "jammedness": (_suite_jammedness, 0),
-    "exclusion": (_suite_exclusion, 1000),
-    "lambda": (_suite_lambda, 1000),
-    "kaplansky": (_suite_kaplansky, 0),
-    "extend-smallint": (_make_extend_suite(extend.SMALL_INT), 50),
-    "extend-smallexpint": (_make_extend_suite(extend.SMALL_EXP_INT), 50),
-    "extend-bigint": (_make_extend_suite(extend.BIG_INT), 50),
+    "couple": (lambda a: verify_couple_axioms(a.cases, a.seed, "logfull"), 10000),
+    "couple-gap": (lambda a: verify_couple_axioms(a.cases, a.seed, "loggap"), 10000),
+    "identities": (lambda a: identity_suite(a.cases, a.seed), 10000),
+    "grid": (lambda a: conformance_grid(), 0),
+    "field": (lambda a: check_axioms(a.cases, a.seed), 1000),
+    "jammedness": (lambda a: setprops.jammedness_suite(seed=a.seed,
+                                                       fails_descriptor=_CLOSED_SMALL), 0),
+    "exclusion": (lambda a: setprops.exclusion_suite(_exclusion_descriptors(), a.cases, a.seed),
+                  1000),
+    "lambda": (lambda a: pcseq.lambda_suite(prefix_len=a.len, corpus_size=a.cases, seed=a.seed),
+               1000),
+    "kaplansky": (lambda a: pcseq.kaplansky_suite(), 0),
+    **{f"extend-{kind}": (lambda a, kind=kind: extend.verify_downward_no_max(
+        extend.example(kind), a.cases, a.seed), 50) for kind in extend.KINDS},
 }
 
 
@@ -564,8 +523,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         raise ExprSemanticError(
             f"unknown suite {args.name!r}; choices: {', '.join(sorted(SUITES))}")
     run, default_cases = SUITES[args.name]
-    cases = args.cases if args.cases is not None else default_cases
-    report = run(cases, args.seed, args.len)
+    if args.cases is None:
+        args.cases = default_cases
+    report = run(args)
     _emit(report.to_dict(), args.pretty)
     return 0 if report.ok else 1
 
@@ -614,13 +574,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aclab",
         description="Exact computations in the logarithmic asymptotic couple and field.")
-    default_seed = int(os.environ.get("ACLAB_SEED", str(DEFAULT_SEED)))
+    seed_text = os.environ.get("ACLAB_SEED", str(DEFAULT_SEED))
+    try:
+        default_seed = int(seed_text)
+    except ValueError:
+        raise ExprSemanticError(f"ACLAB_SEED must be an integer, got {seed_text!r}") from None
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        p.add_argument("--json", action="store_true",
-                       help="machine output (the default; accepted for symmetry)")
         p.add_argument("--seed", type=int, default=default_seed)
 
     p = sub.add_parser("val", help="valuation of an expression")
@@ -675,13 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ExprSyntaxError, ExprSemanticError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2

@@ -34,12 +34,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .acouple import Report, integrate, successor
 from .logts import Frac, Monomial, Series, ell, x_elem
 from .ogroup import GroupElem, unit, vector_json
-from .setprops import ExtS
 
 SMALL_INT = "smallint"
 SMALL_EXP_INT = "smallexpint"
@@ -114,7 +114,9 @@ def bigint_example() -> ExtScenario:
     return ExtScenario(BIG_INT, s, g)
 
 
+@cache
 def example(kind: str) -> ExtScenario:
+    """The shipped scenario of a kind (built once; scenarios are immutable)."""
     if kind == SMALL_INT:
         return smallint_example()
     if kind == SMALL_EXP_INT:
@@ -281,7 +283,7 @@ def big_form_value(sc: ExtScenario, eps: Frac) -> GroupElem:
 
 
 # ---------------------------------------------------------------------------
-# The descriptor handle consumed by the set-property module.
+# The value set of a shipped scenario, as a set descriptor.
 
 _HEAD_POOL = [Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5, 2), Fraction(4)]
 _CAP_POOL = [Fraction(3, 2), Fraction(2)]
@@ -289,23 +291,42 @@ _BIG_POOL = [Fraction(0), Fraction(-1), Fraction(-1, 2), Fraction(-3), Fraction(
 _TAIL_POOL = [Fraction(n) for n in (-3, -2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-5, 2)]
 
 
-class ScenarioSet:
-    """Duck-typed handle exposing the scenario's value set to setprops."""
+@dataclass(frozen=True)
+class ExtS:
+    """The set S of the shipped scenario of one kind, as a set descriptor.
 
-    __slots__ = ("scenario",)
+    S has no greatest element and is closed under the step
+    gamma -> gamma - chi(gamma).  It lies in (Gamma^>)' = {integrate > 0}
+    for the small kinds and in (Gamma^<)' = {integrate < 0} for bigint
+    (``subset_sign``).  Its downward closure is {gamma : gamma_0 <=
+    coord0_cap}, and that of its integral image is {gamma : gamma_0 <=
+    int_coord0_cap}.
+    """
 
-    def __init__(self, scenario: ExtScenario) -> None:
-        self.scenario = scenario
+    kind: str
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown scenario kind {self.kind!r}")
 
     @property
-    def name(self) -> str:
-        return self.scenario.kind
+    def scenario(self) -> ExtScenario:
+        return example(self.kind)
 
-    def contains(self, gamma: GroupElem) -> bool:
-        return member(self.scenario, gamma)
+    @property
+    def subset_sign(self) -> int:
+        return -1 if self.kind == BIG_INT else 1
+
+    @property
+    def coord0_cap(self) -> Fraction:
+        return Fraction(0) if self.kind == BIG_INT else Fraction(2)
+
+    @property
+    def int_coord0_cap(self) -> Fraction:
+        return Fraction(-1) if self.kind == BIG_INT else Fraction(1)
 
     def sample(self, rng: random.Random) -> GroupElem:
-        if self.scenario.kind == BIG_INT:
+        if self.kind == BIG_INT:
             items = [(0, rng.choice(_BIG_POOL))]
             for _ in range(rng.randint(0, 2)):
                 items.append((rng.randint(1, 6), rng.choice(_TAIL_POOL)))
@@ -318,36 +339,19 @@ class ScenarioSet:
         return GroupElem(items)
 
     def cofinal(self, i: int) -> GroupElem:
-        if self.scenario.kind == BIG_INT:
+        """The i-th member of a strictly increasing cofinal family."""
+        if self.kind == BIG_INT:
             return unit(1).scale(Fraction(2 * i + 1, 2))
         return unit(0).scale(2) + unit(1).scale(i + 1)
 
-    @property
-    def subset_sign(self) -> int:
-        return -1 if self.scenario.kind == BIG_INT else 1
-
-    @property
-    def coord0_cap(self) -> Fraction:
-        return Fraction(0) if self.scenario.kind == BIG_INT else Fraction(2)
-
-    @property
-    def int_coord0_cap(self) -> Fraction:
-        return Fraction(-1) if self.scenario.kind == BIG_INT else Fraction(1)
-
-    @property
-    def step_closed(self) -> bool:
-        return True
-
-    def derived_base(self) -> GroupElem:
-        return self.scenario.s_valuation()
-
-    def derived_step_ok(self, gamma: GroupElem) -> bool:
-        stepped = step_bound(gamma)
-        return stepped > gamma and member(self.scenario, stepped)
-
 
 def s_descriptor(sc: ExtScenario) -> ExtS:
-    return ExtS(ScenarioSet(sc))
+    """The descriptor of sc's value set.  Membership is certified for the
+    shipped scenarios only, so any other scenario is rejected."""
+    if sc != example(sc.kind):
+        raise ValueError(f"only the shipped {sc.kind} scenario has a set descriptor; "
+                         f"it uses s = {example(sc.kind).s}")
+    return ExtS(sc.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +364,7 @@ def verify_downward_no_max(sc: ExtScenario, probes: int, seed: int = 23) -> Repo
     if probes < 1:
         raise ValueError("probes must be at least 1")
     rng = random.Random(seed)
-    handle = ScenarioSet(sc)
+    values = ExtS(sc.kind)
     failures: list[dict] = []
 
     def fail(check: str, case: int, **data: object) -> None:
@@ -368,7 +372,7 @@ def verify_downward_no_max(sc: ExtScenario, probes: int, seed: int = 23) -> Repo
 
     big = sc.kind == BIG_INT
     for case in range(probes):
-        gamma = handle.sample(rng)
+        gamma = values.sample(rng)
         try:
             w = construct_witness(sc, gamma)
         except ValueError as exc:

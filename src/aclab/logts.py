@@ -194,10 +194,7 @@ class Series:
                 merged[mono] = total
             elif acc is not None:
                 del merged[mono]
-        out = Series.__new__(Series)
-        object.__setattr__(out, "_terms", merged)
-        object.__setattr__(out, "_lead", None)
-        return out
+        return _from_terms(merged)
 
     def __neg__(self) -> "Series":
         return self.scale(-1)
@@ -209,19 +206,13 @@ class Series:
         q = as_rat(factor)
         if not q:
             return Series.ZERO
-        out = Series.__new__(Series)
-        object.__setattr__(out, "_terms", {m: c * q for m, c in self._terms.items()})
-        object.__setattr__(out, "_lead", None)
-        return out
+        return _from_terms({m: c * q for m, c in self._terms.items()})
 
     def mul_term(self, mono: Monomial, coeff: RatLike = 1) -> "Series":
         q = as_rat(coeff)
         if not q or not self._terms:
             return Series.ZERO
-        out = Series.__new__(Series)
-        object.__setattr__(out, "_terms", {m * mono: c * q for m, c in self._terms.items()})
-        object.__setattr__(out, "_lead", None)
-        return out
+        return _from_terms({m * mono: c * q for m, c in self._terms.items()})
 
     def __mul__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
@@ -248,10 +239,7 @@ class Series:
                     acc[key] = total
                 elif prev is not None:
                     del acc[key]
-        out = Series.__new__(Series)
-        object.__setattr__(out, "_terms", acc)
-        object.__setattr__(out, "_lead", None)
-        return out
+        return _from_terms(acc)
 
     def derivative(self) -> "Series":
         acc: dict[Monomial, Fraction] = {}
@@ -264,18 +252,12 @@ class Series:
                     acc[dm] = total
                 elif prev is not None:
                     del acc[dm]
-        out = Series.__new__(Series)
-        object.__setattr__(out, "_terms", acc)
-        object.__setattr__(out, "_lead", None)
-        return out
+        return _from_terms(acc)
 
     def truncate_below(self, bound: GroupElem) -> "Series":
         """Drop terms with valuation strictly above ``bound``."""
         kept = {m: c for m, c in self._terms.items() if m.valuation() <= bound}
-        out = Series.__new__(Series)
-        object.__setattr__(out, "_terms", kept)
-        object.__setattr__(out, "_lead", None)
-        return out
+        return _from_terms(kept)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in order of increasing valuation (decreasing magnitude)."""
@@ -308,6 +290,14 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({str(self)})"
+
+
+def _from_terms(terms: dict[Monomial, Fraction]) -> Series:
+    """Wrap a term map that already holds no zero coefficients."""
+    out = Series.__new__(Series)
+    object.__setattr__(out, "_terms", terms)
+    object.__setattr__(out, "_lead", None)
+    return out
 
 
 Series.ZERO = Series()
@@ -476,10 +466,6 @@ Frac.ZERO = Frac(Series.ZERO)
 Frac.ONE = Frac(Series.ONE)
 
 
-def valuation(f: Frac) -> GammaInf:
-    return f.valuation()
-
-
 def dominance(f: Frac, g: Frac) -> Dominance:
     """Trichotomy by valuation: smaller valuation dominates."""
     vf, vg = f.valuation(), g.valuation()
@@ -587,13 +573,6 @@ def random_frac(rng: random.Random, allow_zero: bool = False) -> Frac:
     if rng.random() < 0.7:
         return Frac(num)
     return Frac(num, random_series(rng, max_terms=2))
-
-
-def random_nonzero_frac(rng: random.Random) -> Frac:
-    while True:
-        f = random_frac(rng)
-        if not f.is_zero():
-            return f
 
 
 def check_axioms(sample_size: int, seed: int) -> Report:

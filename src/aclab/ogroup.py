@@ -336,10 +336,6 @@ class ExtElem:
     def is_zero(self) -> bool:
         return self.dq == 0 and self.base.is_zero()
 
-    def is_pure(self) -> bool:
-        """True when the delta part vanishes (the point lies in the base group)."""
-        return self.dq == 0
-
     def first_padded_index(self) -> int:
         """First index with nonzero padded entry; error on the zero element."""
         for i in range(self.base.max_index() + 1):

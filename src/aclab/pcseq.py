@@ -59,9 +59,6 @@ class PCSeq:
     def __getitem__(self, i: int) -> Frac:
         return self.points[i]
 
-    def diffs(self) -> list[GammaInf]:
-        return [(b - a).valuation() for a, b in zip(self.points, self.points[1:])]
-
 
 def _vstr(v: GammaInf) -> object:
     return vector_json(v) if isinstance(v, GroupElem) else str(v)

@@ -13,26 +13,23 @@ Delta_k = {gamma : gamma_i = 0 for all i < k}, k >= 1, because archimedean
 classes are indexed by the first nonzero coordinate.  Jammedness therefore
 quantifies over these tails only, up to K_MAX.
 
-Extension-scenario sets enter through an opaque handle so this module
-stays independent of the module that builds them.  A handle must provide:
-``name`` (str), ``contains(gamma) -> bool``, ``sample(rng) -> GroupElem``,
-``cofinal(i) -> GroupElem`` (strictly increasing members),
-``subset_sign`` (+1 when the set lies in (Gamma^>)' = {integrate > 0},
--1 when it lies in (Gamma^<)' = {integrate < 0}),
-``coord0_cap`` (rational c with downward closure {gamma : gamma_0 <= c}),
-``int_coord0_cap`` (same, for the integral image),
-``step_closed`` (bool: closed under gamma -> gamma - chi(gamma)),
-``derived_base() -> GroupElem`` and ``derived_step_ok(gamma) -> bool``.
+Extension-scenario sets enter as ``ExtS(kind)``, defined in ``extend``
+and keyed by the scenario kind alone: the set of the shipped scenario of
+that kind.  Membership, sampling, the cofinal family, the derivative half
+and the coordinate-0 caps are read from ``extend``; the derived step is
+checked with ``extend.step_bound`` on the shipped scenario.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .acouple import Report, chi, integrate, psi, sample_elem, sample_nonzero, successor
+from . import extend
+from .acouple import Report, chi, der, first_non_one, integrate, sample_elem, sample_nonzero
+from .extend import ExtS, step_bound
 from .ogroup import GroupElem, as_rat, ones, unit, vector_json
 
 K_MAX = 32
@@ -85,14 +82,6 @@ class IntImage:
     inner: "SetDescriptor"
 
 
-@dataclass(frozen=True)
-class ExtS:
-    handle: object = field(compare=False)
-
-    def __hash__(self) -> int:
-        return hash(("exts", id(self.handle)))
-
-
 SetDescriptor = Union[LessThan, LessEq, PsiDown, Affine, DownClosure, IntImage, ExtS]
 
 
@@ -123,20 +112,13 @@ def describe(desc: SetDescriptor) -> str:
     if isinstance(desc, IntImage):
         return f"(int {describe(desc.inner)})"
     if isinstance(desc, ExtS):
-        return f"(exts {desc.handle.name})"
+        return f"(exts {desc.kind})"
     raise UnsupportedDescriptor(f"unknown descriptor {desc!r}")
 
 
 def _psidown_member(gamma: GroupElem) -> bool:
     """First index whose coordinate differs from 1 carries a value < 1."""
-    expected = 0
-    for index, coeff in gamma.items:
-        if index > expected:
-            return True
-        if coeff != 1:
-            return coeff < 1
-        expected = index + 1
-    return True
+    return gamma.coeff(first_non_one(gamma)) < 1
 
 
 def member(desc: SetDescriptor, gamma: GroupElem) -> bool:
@@ -151,20 +133,16 @@ def member(desc: SetDescriptor, gamma: GroupElem) -> bool:
     if isinstance(desc, Affine):
         return member(desc.inner, (gamma - desc.alpha).div(desc.n))
     if isinstance(desc, ExtS):
-        return bool(desc.handle.contains(gamma))
+        return extend.member(desc.scenario, gamma)
     if isinstance(desc, IntImage):
         _require_half(desc.inner)
         if gamma.is_zero():
             # The integral map never produces zero.
             return False
-        return member(desc.inner, der_vec(gamma))
+        return member(desc.inner, der(gamma))
     if isinstance(desc, DownClosure):
         return _down_member(desc.inner, gamma)
     raise UnsupportedDescriptor(f"unknown descriptor {desc!r}")
-
-
-def der_vec(gamma: GroupElem) -> GroupElem:
-    return gamma + psi(gamma)
 
 
 def _down_member(inner: SetDescriptor, gamma: GroupElem) -> bool:
@@ -173,11 +151,11 @@ def _down_member(inner: SetDescriptor, gamma: GroupElem) -> bool:
     if isinstance(inner, Affine):
         return _down_member(inner.inner, (gamma - inner.alpha).div(inner.n))
     if isinstance(inner, ExtS):
-        return gamma.coeff(0) <= as_rat(inner.handle.coord0_cap)
+        return gamma.coeff(0) <= inner.coord0_cap
     if isinstance(inner, IntImage):
         deep = inner.inner
         if isinstance(deep, ExtS):
-            return gamma.coeff(0) <= as_rat(deep.handle.int_coord0_cap)
+            return gamma.coeff(0) <= deep.int_coord0_cap
         half = _require_half(deep)
         if is_downward_closed(deep):
             # For downward-closed D in a single half, the strictly
@@ -185,9 +163,7 @@ def _down_member(inner: SetDescriptor, gamma: GroupElem) -> bool:
             # integral" into plain image membership away from zero.
             if gamma.is_zero():
                 return half > 0
-            return member(deep, der_vec(gamma))
-        raise UnsupportedDescriptor(
-            f"downward closure of {describe(inner)} has no certified reduction")
+            return member(deep, der(gamma))
     raise UnsupportedDescriptor(
         f"downward closure of {describe(inner)} has no certified reduction")
 
@@ -209,7 +185,7 @@ def subset_half(desc: SetDescriptor) -> Optional[int]:
     if isinstance(desc, PsiDown):
         return -1
     if isinstance(desc, ExtS):
-        return int(desc.handle.subset_sign)
+        return desc.subset_sign
     if isinstance(desc, DownClosure):
         inner = subset_half(desc.inner)
         # {integrate < 0} is downward closed, so closure stays inside it;
@@ -271,7 +247,7 @@ def sample_member(desc: SetDescriptor, rng: random.Random) -> GroupElem:
     if isinstance(desc, IntImage):
         return integrate(sample_member(desc.inner, rng))
     if isinstance(desc, ExtS):
-        return desc.handle.sample(rng)
+        return desc.sample(rng)
     raise UnsupportedDescriptor(f"unknown descriptor {desc!r}")
 
 
@@ -293,7 +269,7 @@ def _cofinal_member(desc: SetDescriptor, i: int) -> Optional[GroupElem]:
         inner = _cofinal_member(desc.inner, i)
         return None if inner is None else integrate(inner)
     if isinstance(desc, ExtS):
-        return desc.handle.cofinal(i)
+        return desc.cofinal(i)
     return None
 
 
@@ -324,9 +300,9 @@ def _coord0_capped(desc: SetDescriptor) -> Optional[Fraction]:
     (membership depends on coordinate 0 only through a cap, and bumping
     coordinate 1 never leaves the set), return the cap; else None."""
     if isinstance(desc, ExtS):
-        return as_rat(desc.handle.coord0_cap)
+        return desc.coord0_cap
     if isinstance(desc, IntImage) and isinstance(desc.inner, ExtS):
-        return as_rat(desc.inner.handle.int_coord0_cap)
+        return desc.inner.int_coord0_cap
     if isinstance(desc, DownClosure):
         return _coord0_capped(desc.inner)
     return None
@@ -401,6 +377,16 @@ def _transport_verdict(inner: PropertyVerdict, desc: SetDescriptor, rule: str) -
 _BUMP_SCALES = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(-1, 2)]
 
 
+def _find_escape(desc: SetDescriptor, base: GroupElem, k: int) -> Optional[GroupElem]:
+    """The first bump e_j * q (j < k, q in _BUMP_SCALES) that leaves base + Delta_k."""
+    for j in range(1, k):
+        for q in _BUMP_SCALES:
+            bump = unit(j).scale(q)
+            if _jam_escape_ok(desc, base, bump, k):
+                return bump
+    return None
+
+
 def _jam_search(desc: SetDescriptor, seed: int = 2029, frontier: int = 24) -> PropertyVerdict:
     """Bounded falsification: at each tail index, try to escape from every
     candidate base.  All candidates escaping at some level is reported as
@@ -424,15 +410,7 @@ def _jam_search(desc: SetDescriptor, seed: int = 2029, frontier: int = 24) -> Pr
         escapes = []
         all_escaped = True
         for base in candidates:
-            found = None
-            for j in range(1, k):
-                for q in _BUMP_SCALES:
-                    bump = unit(j).scale(q)
-                    if _jam_escape_ok(desc, base, bump, k):
-                        found = bump
-                        break
-                if found is not None:
-                    break
+            found = _find_escape(desc, base, k)
             if found is None:
                 all_escaped = False
                 break
@@ -464,17 +442,7 @@ def recheck_jammed(desc: SetDescriptor, verdict: PropertyVerdict, seed: int = 5,
             return False
         for _ in range(probes):
             g = sample_member(desc, rng)
-            if not member(desc, g):
-                return False
-            escaped = False
-            for j in range(1, level):
-                for q in _BUMP_SCALES:
-                    if _jam_escape_ok(desc, g, unit(j).scale(q), level):
-                        escaped = True
-                        break
-                if escaped:
-                    break
-            if not escaped:
+            if not member(desc, g) or _find_escape(desc, g, level) is None:
                 return False
         return True
     return True
@@ -510,10 +478,6 @@ def _step(gamma: GroupElem) -> GroupElem:
     return gamma - chi(gamma)
 
 
-def _derived_step(gamma: GroupElem) -> GroupElem:
-    return gamma - integrate(successor(gamma))
-
-
 def has_yardstick(desc: SetDescriptor) -> PropertyVerdict:
     """Whether some base beta in S lets every member above it step to
     gamma - chi(gamma) inside S."""
@@ -543,9 +507,10 @@ def has_yardstick(desc: SetDescriptor) -> PropertyVerdict:
         except UnsupportedDescriptor as exc:
             return PropertyVerdict(UNKNOWN, "unsupported-membership", {"reason": str(exc)})
         if inner.verdict == HOLDS:
-            base = _derived_base(desc.inner)
-            witness = {"inherited_from": inner.rule,
-                       "base": None if base is None else vector_json(integrate(base))}
+            base = None
+            if isinstance(desc.inner, ExtS):
+                base = vector_json(integrate(desc.inner.scenario.s_valuation()))
+            witness = {"inherited_from": inner.rule, "base": base}
             return PropertyVerdict(HOLDS, "integral-transport", witness)
         return _yardstick_search_guarded(desc)
     if isinstance(desc, DownClosure):
@@ -559,10 +524,9 @@ def has_yardstick(desc: SetDescriptor) -> PropertyVerdict:
                 witness["inner_witness"] = inner.witness
             return PropertyVerdict(HOLDS, "downward-transport", witness)
         return _yardstick_search_guarded(desc)
-    if isinstance(desc, ExtS) and bool(desc.handle.step_closed):
-        base = desc.handle.cofinal(0)
+    if isinstance(desc, ExtS):
         return PropertyVerdict(HOLDS, "step-closed-handle",
-                               {"base": vector_json(base), "scenario": desc.handle.name})
+                               {"base": vector_json(desc.cofinal(0)), "scenario": desc.kind})
     return _yardstick_search_guarded(desc)
 
 
@@ -621,12 +585,6 @@ def _yardstick_search(desc: SetDescriptor, seed: int = 2031, frontier: int = 200
     return PropertyVerdict(UNKNOWN, rule_prefix + "search-no-escape", {"frontier": tried})
 
 
-def _derived_base(desc: SetDescriptor) -> Optional[GroupElem]:
-    if isinstance(desc, ExtS):
-        return desc.handle.derived_base()
-    return None
-
-
 def has_derived_yardstick(desc: SetDescriptor) -> PropertyVerdict:
     """Whether some base beta in S lets every member above it step to
     gamma - integrate(successor(gamma)) inside S.  The operand must be
@@ -637,25 +595,26 @@ def has_derived_yardstick(desc: SetDescriptor) -> PropertyVerdict:
         return PropertyVerdict(UNKNOWN, "greatest-element",
                                {"reason": "the set has a greatest element"})
     if isinstance(desc, ExtS):
-        base = desc.handle.derived_base()
+        base = desc.scenario.s_valuation()
         rng = random.Random(17)
         for _ in range(25):
-            g = desc.handle.sample(rng)
-            if g > base and not desc.handle.derived_step_ok(g):
+            g = desc.sample(rng)
+            stepped = step_bound(g)
+            if g > base and not (stepped > g and extend.member(desc.scenario, stepped)):
                 return PropertyVerdict(FAILS, "handle-step-refuted",
                                        {"witness": vector_json(g)})
         return PropertyVerdict(HOLDS, "constructive-step",
-                               {"base": vector_json(base), "scenario": desc.handle.name,
+                               {"base": vector_json(base), "scenario": desc.kind,
                                 "certificate": "each step re-verified exactly by the "
                                                "extension machinery"})
-    return _yardstick_search_guarded(desc, step=_derived_step, rule_prefix="derived-")
+    return _yardstick_search_guarded(desc, step=step_bound, rule_prefix="derived-")
 
 
 def recheck_yardstick(desc: SetDescriptor, verdict: PropertyVerdict,
                       seed: int = 6, probes: int = 120, derived: bool = False) -> bool:
     """Re-verify a yardstick verdict's certificate by sampling."""
     rng = random.Random(seed)
-    step = _derived_step if derived else _step
+    step = step_bound if derived else _step
     if verdict.verdict == HOLDS:
         base = _verdict_base(verdict)
         for _ in range(probes):
