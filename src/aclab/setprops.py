@@ -599,8 +599,10 @@ def has_derived_yardstick(desc: SetDescriptor) -> PropertyVerdict:
         rng = random.Random(17)
         for _ in range(25):
             g = desc.sample(rng)
+            if not g > base:
+                continue
             stepped = step_bound(g)
-            if g > base and not (stepped > g and extend.member(desc.scenario, stepped)):
+            if not (stepped > g and extend.member(desc.scenario, stepped)):
                 return PropertyVerdict(FAILS, "handle-step-refuted",
                                        {"witness": vector_json(g)})
         return PropertyVerdict(HOLDS, "constructive-step",
