@@ -28,16 +28,45 @@ from .acouple import INFINITY, GammaInf, Report, integrate, psi
 from .ogroup import GroupElem, RatLike, as_rat, ones, unit
 
 
+# Monomials are hash-consed (Filliatre & Conchon, "Type-safe modular
+# hash-consing", 2006): ``Monomial(g)`` returns the live instance for ``g``
+# from an intern table, and each ordered product of two instances is memoised.
+# Both tables are emptied together when either reaches its cap, which bounds
+# their memory.  A monomial built before a clear is then a different object
+# from an equal one built after it, so equality falls back to the exponent
+# vectors and no result depends on which instance is used.
+INTERN_CAP = 2048
+PRODUCT_CAP = 4 * INTERN_CAP
+
+_interned: dict[GroupElem, "Monomial"] = {}
+# (id(a), id(b)) -> (a, b, a * b).  Holding the factors keeps both ids from
+# being reused by other objects while the entry exists.
+_products: dict[tuple[int, int], tuple["Monomial", "Monomial", "Monomial"]] = {}
+
+
+def _clear_tables() -> None:
+    _interned.clear()
+    _products.clear()
+
+
 class Monomial:
     """A single product of generator powers, keyed by its exponent vector."""
 
-    __slots__ = ("exponents", "_hash")
+    __slots__ = ("exponents", "_hash", "_derivative")
 
     ONE: "Monomial"
 
-    def __init__(self, exponents: GroupElem = GroupElem.ZERO) -> None:
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, exponents: GroupElem = GroupElem.ZERO) -> "Monomial":
+        mono = _interned.get(exponents)
+        if mono is None:
+            if len(_interned) >= INTERN_CAP:
+                _clear_tables()
+            mono = object.__new__(cls)
+            object.__setattr__(mono, "exponents", exponents)
+            object.__setattr__(mono, "_hash", hash(("mono", exponents)))
+            object.__setattr__(mono, "_derivative", None)
+            _interned[exponents] = mono
+        return mono
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Monomial is immutable")
@@ -46,7 +75,15 @@ class Monomial:
         return -self.exponents
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.exponents + other.exponents)
+        key = (id(self), id(other))
+        hit = _products.get(key)
+        if hit is not None:
+            return hit[2]
+        if len(_products) >= PRODUCT_CAP:
+            _clear_tables()
+        product = Monomial(self.exponents + other.exponents)
+        _products[key] = (self, other, product)
+        return product
 
     def __pow__(self, power: RatLike) -> "Monomial":
         return Monomial(self.exponents.scale(as_rat(power)))
@@ -55,23 +92,23 @@ class Monomial:
         return Monomial(-self.exponents)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Monomial):
             return NotImplemented
         return self.exponents == other.exponents
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(("mono", self.exponents))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     def derivative_terms(self) -> tuple[tuple["Monomial", Fraction], ...]:
         """The finitely many terms of m': coefficient r_i on m * (l0...li)^-1."""
-        out = []
-        for i, r in self.exponents.items:
-            out.append((Monomial(self.exponents - ones(i + 1)), r))
-        return tuple(out)
+        terms = self._derivative
+        if terms is None:
+            exps = self.exponents
+            terms = tuple((Monomial(exps - ones(i + 1)), r) for i, r in exps.items)
+            object.__setattr__(self, "_derivative", terms)
+        return terms
 
     def __str__(self) -> str:
         if self.exponents.is_zero():
