@@ -43,6 +43,26 @@ class ExprSemanticError(ValueError):
     """Well-formed text denoting nothing in the field."""
 
 
+class UsageError(SystemExit):
+    """An argparse usage error.  It exits with status 2 as argparse's own
+    does, and keeps the message so that ``main`` can report it as JSON."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(2)
+        self.message = message
+
+    def __str__(self) -> str:
+        return self.message
+
+
+class _ArgParser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage to stderr; subparsers
+    inherit the class.  ``--help`` still prints help and exits 0."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # Expression AST.
 
@@ -571,7 +591,7 @@ def _cmd_set(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgParser(
         prog="aclab",
         description="Exact computations in the logarithmic asymptotic couple and field.")
     seed_text = os.environ.get("ACLAB_SEED", str(DEFAULT_SEED))
@@ -640,7 +660,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2
     except ArithmeticError as exc:

@@ -175,7 +175,12 @@ def equivalent_prefix(a: PCSeq, b: PCSeq) -> SeqVerdict:
 # ---------------------------------------------------------------------------
 # The lambda sequence.
 
-@lru_cache(maxsize=None)
+# Bounded, yet large enough to hold the lambda suite's default prefix (12)
+# and every `aclab lambda n` up to n = 31 at once.
+LAMBDA_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=LAMBDA_CACHE_SIZE)
 def lambda_term(n: int) -> Frac:
     """lambda_n as the explicit sum of logarithmic derivatives, checked
     against the defining form -(ln^dag)^dag."""

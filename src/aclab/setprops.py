@@ -194,11 +194,11 @@ def subset_half(desc: SetDescriptor) -> Optional[int]:
     return None
 
 
-def _require_half(desc: SetDescriptor) -> int:
+def _require_half(desc: SetDescriptor, query: str = "integral image over") -> int:
     half = subset_half(desc)
     if half is None:
         raise UnsupportedDescriptor(
-            f"integral image over {describe(desc)}: the operand is not "
+            f"{query} {describe(desc)}: the operand is not "
             "certified inside either derivative half")
     return half
 
@@ -503,6 +503,9 @@ def has_yardstick(desc: SetDescriptor) -> PropertyVerdict:
                                           "steps to coordinate 2 at index 1"})
     if isinstance(desc, IntImage):
         try:
+            # The set asked about is the integral image, so an operand outside
+            # both halves is reported as such, not as a derived-yardstick query.
+            _require_half(desc.inner)
             inner = has_derived_yardstick(desc.inner)
         except UnsupportedDescriptor as exc:
             return PropertyVerdict(UNKNOWN, "unsupported-membership", {"reason": str(exc)})
@@ -589,7 +592,7 @@ def has_derived_yardstick(desc: SetDescriptor) -> PropertyVerdict:
     """Whether some base beta in S lets every member above it step to
     gamma - integrate(successor(gamma)) inside S.  The operand must be
     certified inside one derivative half."""
-    _require_half(desc)
+    _require_half(desc, "derived yardstick of")
     greatest = _has_greatest(desc)
     if greatest:
         return PropertyVerdict(UNKNOWN, "greatest-element",
@@ -649,16 +652,20 @@ def _verdict_base(verdict: PropertyVerdict) -> Optional[GroupElem]:
 def sup_in_divhull(desc: SetDescriptor) -> Optional[GroupElem]:
     """The supremum when it exists, None when provably absent; raises on
     descriptors whose cut is not decided here."""
-    if isinstance(desc, (LessThan, LessEq)):
-        return desc.bound
-    if isinstance(desc, PsiDown):
-        return None
-    if isinstance(desc, Affine):
-        inner = sup_in_divhull(desc.inner)
-        return None if inner is None else desc.alpha + inner.scale(desc.n)
-    if isinstance(desc, DownClosure):
-        return sup_in_divhull(desc.inner)
-    raise UnsupportedDescriptor(f"supremum of {describe(desc)} is not decided")
+    def sup(d: SetDescriptor) -> Optional[GroupElem]:
+        if isinstance(d, (LessThan, LessEq)):
+            return d.bound
+        if isinstance(d, PsiDown):
+            return None
+        if isinstance(d, Affine):
+            inner = sup(d.inner)
+            return None if inner is None else d.alpha + inner.scale(d.n)
+        if isinstance(d, DownClosure):
+            return sup(d.inner)
+        # Name the descriptor asked about, not the wrapped one that stopped us.
+        raise UnsupportedDescriptor(f"supremum of {describe(desc)} is not decided")
+
+    return sup(desc)
 
 
 # ---------------------------------------------------------------------------

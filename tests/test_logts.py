@@ -1,10 +1,12 @@
 """Derivation, valuation, and field-law tests for the logarithmic tower."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import assume, given
 import pytest
 
+from aclab import logts
 from aclab.acouple import INFINITY, der, psi
 from aclab.logts import (
     Dominance,
@@ -19,11 +21,13 @@ from aclab.logts import (
     is_in_I,
     logderiv,
     ode_second_order_check,
+    random_frac,
+    random_series,
     residue,
     similar,
     x_elem,
 )
-from aclab.ogroup import GroupElem
+from aclab.ogroup import GroupElem, unit
 
 from strategies import fracs, monomials, nonzero_fracs
 
@@ -211,3 +215,74 @@ class TestOdeComparison:
     def test_rejects_wrong_equation(self):
         with pytest.raises(ValueError):
             ode_second_order_check(ell(1), x_elem(), Frac.from_rat(0))
+
+
+def _distinct_monomials(count: int, index: int = 9) -> list[Monomial]:
+    """``count`` monomials no other test builds: powers of one generator."""
+    return [Monomial(unit(index).scale(Fraction(k + 1, 7919))) for k in range(count)]
+
+
+def _products_and_derivatives(seed: int, cases: int) -> list[str]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(cases):
+        f, g = random_frac(rng), random_frac(rng)
+        out.append(str(f * g + f.derivative() * g))
+    return out
+
+
+class TestHashConsing:
+    def test_equal_monomials_are_one_instance_below_the_cap(self):
+        logts._clear_tables()
+        a = Monomial(V("[1, -2]"))
+        assert Monomial(V("[1, -2]")) is a
+        b = Monomial(V("[0, 1/2, 3]"))
+        assert a * b is a * b
+        assert a * b is Monomial(V("[1, -3/2, 3]"))
+
+    def test_equal_across_a_clear(self):
+        logts._clear_tables()
+        before = Monomial(V("[3, 1/2]"))
+        rng = random.Random(5)
+        left, right = random_series(rng, max_terms=4), random_series(rng, max_terms=4)
+        _distinct_monomials(logts.INTERN_CAP + 1)
+        after = Monomial(V("[3, 1/2]"))
+        assert after is not before
+        assert after == before and hash(after) == hash(before)
+        assert hash(after) == hash(("mono", after.exponents))
+        assert {before: 1}[after] == 1
+        # left's monomials predate the clear; the rebuilt copy's do not.
+        rebuilt = Series({Monomial(GroupElem(m.exponents.items)): c
+                          for m, c in left.terms.items()})
+        assert any(m is not n for m, n in zip(left.terms, rebuilt.terms))
+        across = left * right
+        assert across == rebuilt * right
+        assert hash(across) == hash(rebuilt * right)
+        assert str(across) == str(rebuilt * right)
+
+    def test_tables_never_exceed_their_caps(self):
+        for mono in _distinct_monomials(2 * logts.INTERN_CAP + 5, index=8):
+            assert len(logts._interned) <= logts.INTERN_CAP
+        pool = _distinct_monomials(100, index=7)
+        for a in pool:
+            for b in pool:
+                a * b
+                assert len(logts._products) <= logts.PRODUCT_CAP
+                assert len(logts._interned) <= logts.INTERN_CAP
+
+    def test_tiny_caps_change_no_result(self, monkeypatch):
+        expected = _products_and_derivatives(seed=13, cases=40)
+        monkeypatch.setattr(logts, "INTERN_CAP", 8)
+        monkeypatch.setattr(logts, "PRODUCT_CAP", 16)
+        logts._clear_tables()
+        got = _products_and_derivatives(seed=13, cases=40)
+        assert len(logts._interned) <= 8 and len(logts._products) <= 16
+        assert got == expected
+
+    @given(monomials(), monomials())
+    def test_product_is_the_monomial_of_the_summed_exponents(self, a, b):
+        exps = a.exponents + b.exponents
+        product = a * b
+        assert product == Monomial(exps)
+        assert product.exponents == exps
+        assert hash(product) == hash(("mono", exps))
