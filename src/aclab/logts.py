@@ -33,15 +33,25 @@ from .ogroup import GroupElem, RatLike, as_rat, ones, unit
 # from an intern table, and each ordered product of two instances is memoised.
 # Both tables are emptied together when either reaches its cap, which bounds
 # their memory.  A monomial built before a clear is then a different object
-# from an equal one built after it, so equality falls back to the exponent
-# vectors and no result depends on which instance is used.
-INTERN_CAP = 2048
+# from an equal one built after it, so equality falls back to comparing
+# exponent vectors and no result depends on which instance is used.
+INTERN_CAP = 1024
 PRODUCT_CAP = 4 * INTERN_CAP
 
-_interned: dict[GroupElem, "Monomial"] = {}
+# Keyed by _int_key(g), which also serves the structural equality fallback.
+_interned: dict[tuple[int, ...], "Monomial"] = {}
 # (id(a), id(b)) -> (a, b, a * b).  Holding the factors keeps both ids from
 # being reused by other objects while the entry exists.
 _products: dict[tuple[int, int], tuple["Monomial", "Monomial", "Monomial"]] = {}
+
+
+def _int_key(exponents: GroupElem) -> tuple[int, ...]:
+    """The exponent vector as flat integers (index, numerator, denominator,
+    ...), which compare in C where the Fractions of a GroupElem do not."""
+    key: list[int] = []
+    for i, c in exponents.items:
+        key += (i, c.numerator, c.denominator)
+    return tuple(key)
 
 
 def _clear_tables() -> None:
@@ -52,20 +62,22 @@ def _clear_tables() -> None:
 class Monomial:
     """A single product of generator powers, keyed by its exponent vector."""
 
-    __slots__ = ("exponents", "_hash", "_derivative")
+    __slots__ = ("exponents", "_key", "_hash", "_derivative")
 
     ONE: "Monomial"
 
     def __new__(cls, exponents: GroupElem = GroupElem.ZERO) -> "Monomial":
-        mono = _interned.get(exponents)
+        key = _int_key(exponents)
+        mono = _interned.get(key)
         if mono is None:
             if len(_interned) >= INTERN_CAP:
                 _clear_tables()
             mono = object.__new__(cls)
             object.__setattr__(mono, "exponents", exponents)
+            object.__setattr__(mono, "_key", key)
             object.__setattr__(mono, "_hash", hash(("mono", exponents)))
             object.__setattr__(mono, "_derivative", None)
-            _interned[exponents] = mono
+            _interned[key] = mono
         return mono
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -96,7 +108,7 @@ class Monomial:
             return True
         if not isinstance(other, Monomial):
             return NotImplemented
-        return self.exponents == other.exponents
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash

@@ -662,7 +662,7 @@ def sup_in_divhull(desc: SetDescriptor) -> Optional[GroupElem]:
             return None if inner is None else d.alpha + inner.scale(d.n)
         if isinstance(d, DownClosure):
             return sup(d.inner)
-        # Name the descriptor asked about, not the wrapped one that stopped us.
+        # Name the descriptor asked about, not the inner one with no decided cut.
         raise UnsupportedDescriptor(f"supremum of {describe(desc)} is not decided")
 
     return sup(desc)

@@ -261,7 +261,8 @@ class TestHashConsing:
         assert str(across) == str(rebuilt * right)
 
     def test_tables_never_exceed_their_caps(self):
-        for mono in _distinct_monomials(2 * logts.INTERN_CAP + 5, index=8):
+        for k in range(2 * logts.INTERN_CAP + 5):
+            Monomial(unit(8).scale(k + 1))
             assert len(logts._interned) <= logts.INTERN_CAP
         pool = _distinct_monomials(100, index=7)
         for a in pool:
