@@ -5,8 +5,9 @@ The expected bytes live in ``golden_corpus.json`` next to this file.  They
 pin refactors that must keep every output the same.  To re-record after
 an intended output change, run ``PYTHONPATH=src python tests/test_golden.py``.
 
-Left out on purpose: ``suite kaplansky`` (pinned by the acceptance suite,
-and slow) and the ``jammed`` query on descriptors built over
+Left out on purpose: ``suite kaplansky`` (slow here; every verdict and
+witness behind it is pinned by ``test_kaplansky_pin.py``) and the
+``jammed`` query on descriptors built over
 ``(int psidown)``, whose current ``fails`` verdict is known to be wrong.
 """
 
