@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .acouple import GammaInf, Report
+from .acouple import GammaInf, Report, gamma_le
 from .logts import Frac, ell, logderiv, random_frac
 from .ogroup import GroupElem, ones, vector_json
 
@@ -64,50 +64,62 @@ def _vstr(v: GammaInf) -> object:
     return vector_json(v) if isinstance(v, GroupElem) else str(v)
 
 
-def is_pc_prefix(seq: PCSeq) -> SeqVerdict:
-    """Search for the least start index making every later difference
-    triple satisfy v(a_k - a_j) > v(a_j - a_i)."""
-    n = len(seq)
+def _widths(seq: PCSeq, start: int = 0) -> list[GammaInf]:
+    """v(a_{rho+1} - a_rho) for rho from ``start`` on."""
+    return [(seq[rho + 1] - seq[rho]).valuation() for rho in range(start, len(seq) - 1)]
+
+
+def _suffix_start(flags: list[bool], last: int) -> Optional[int]:
+    """The least start <= last from which every flag holds, else None."""
+    start = len(flags)
+    while start and flags[start - 1]:
+        start -= 1
+    return start if start <= last else None
+
+
+def _require_four(n: int) -> None:
     if n < 4:
         raise ValueError("pseudocauchy checks need at least 4 points")
-    vd = {(i, j): (seq[j] - seq[i]).valuation()
-          for i in range(n - 1) for j in range(i + 1, n)}
-    first_bad: Optional[tuple[int, int, int]] = None
-    for rho0 in range(n - 2):
-        ok = True
-        for i in range(rho0, n - 2):
-            for j in range(i + 1, n - 1):
-                for k in range(j + 1, n):
-                    if not vd[j, k] > vd[i, j]:
-                        if first_bad is None:
-                            first_bad = (i, j, k)
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return SeqVerdict(YES, rho0)
-    i, j, k = first_bad
+
+
+def is_pc_prefix(seq: PCSeq) -> SeqVerdict:
+    """The least start index making every later difference triple satisfy
+    v(a_k - a_j) > v(a_j - a_i).  By the ultrametric this holds exactly when
+    the successive widths v(a_{rho+1} - a_rho) strictly increase from the
+    start on (infinity on top), so other differences are computed only for
+    a ``no``, whose witness is the lexicographically first bad triple."""
+    return _pc_verdict(seq, _widths(seq))
+
+
+def _pc_verdict(seq: PCSeq, widths: list[GammaInf]) -> SeqVerdict:
+    n = len(seq)
+    _require_four(n)
+    start = _suffix_start([not gamma_le(b, a) for a, b in zip(widths, widths[1:])], n - 3)
+    if start is not None:
+        return SeqVerdict(YES, start)
+
+    @lru_cache(maxsize=None)
+    def v(i: int, j: int) -> GammaInf:
+        return widths[i] if j == i + 1 else (seq[j] - seq[i]).valuation()
+
+    i, j, k = next((i, j, k) for i in range(n - 2) for j in range(i + 1, n - 1)
+                   for k in range(j + 1, n) if gamma_le(v(j, k), v(i, j)))
     return SeqVerdict(NO, witness={
         "indices": [i, j, k],
-        "low": _vstr(vd[i, j]),
-        "high": _vstr(vd[j, k]),
+        "low": _vstr(v(i, j)),
+        "high": _vstr(v(j, k)),
     })
 
 
 def width_prefix(seq: PCSeq, start: int = 0) -> list[GroupElem]:
     """The strictly increasing valuations of successive differences from
     ``start`` on; raises if a difference vanishes or the increase fails."""
-    widths: list[GroupElem] = []
-    for rho in range(start, len(seq) - 1):
-        v = (seq[rho + 1] - seq[rho]).valuation()
+    widths = _widths(seq, start)
+    for r, v in enumerate(widths):
         if not isinstance(v, GroupElem):
-            raise ValueError(f"equal consecutive points at index {rho}")
-        if widths and not v > widths[-1]:
-            raise ValueError(f"widths fail to increase at index {rho}")
-        widths.append(v)
+            raise ValueError(f"equal consecutive points at index {start + r}")
+        if r and gamma_le(v, widths[r - 1]):
+            raise ValueError(f"widths fail to increase at index {start + r}")
     return widths
 
 
@@ -118,8 +130,7 @@ def pseudolimit_check(seq: PCSeq, x: Frac) -> SeqVerdict:
     hitting only the final point leaves the prefix inconclusive."""
     vs = [(x - a).valuation() for a in seq.points]
     n = len(vs)
-    if n < 4:
-        raise ValueError("pseudocauchy checks need at least 4 points")
+    _require_four(n)
     inf_at = [i for i, v in enumerate(vs) if not isinstance(v, GroupElem)]
     if inf_at:
         p = inf_at[0]
@@ -132,11 +143,11 @@ def pseudolimit_check(seq: PCSeq, x: Frac) -> SeqVerdict:
             "reason": "x equals the final point of the prefix",
             "index": p,
         })
-    for rho0 in range(n - 2):
-        tail = vs[rho0:]
-        if all(b > a for a, b in zip(tail, tail[1:])):
-            return SeqVerdict(YES, rho0)
-    bad = next(i for i in range(n - 1) if not vs[i + 1] > vs[i])
+    rising = [not gamma_le(b, a) for a, b in zip(vs, vs[1:])]
+    start = _suffix_start(rising, n - 3)
+    if start is not None:
+        return SeqVerdict(YES, start)
+    bad = rising.index(False)
     return SeqVerdict(NO, witness={
         "index": bad,
         "at": _vstr(vs[bad]),
@@ -150,25 +161,19 @@ def equivalent_prefix(a: PCSeq, b: PCSeq) -> SeqVerdict:
     strictly above the shared width, so any pseudolimit of one sequence
     is forced (ultrametrically) to be a pseudolimit of the other."""
     n = min(len(a), len(b))
-    if n < 4:
-        raise ValueError("pseudocauchy checks need at least 4 points")
-    da = [(a[r + 1] - a[r]).valuation() for r in range(n - 1)]
-    db = [(b[r + 1] - b[r]).valuation() for r in range(n - 1)]
+    _require_four(n)
+    da = _widths(PCSeq(a.points[:n]))
+    db = _widths(PCSeq(b.points[:n]))
     cross = [(b[r] - a[r]).valuation() for r in range(n - 1)]
-    for rho0 in range(n - 3):
-        ok = True
-        for r in range(rho0, n - 1):
-            if da[r] != db[r] or not cross[r] > da[r]:
-                ok = False
-                break
-        if ok:
-            return SeqVerdict(YES, rho0)
-    bad = n - 2
+    start = _suffix_start([da[r] == db[r] and not gamma_le(cross[r], da[r])
+                           for r in range(n - 1)], n - 4)
+    if start is not None:
+        return SeqVerdict(YES, start)
     return SeqVerdict(NO, witness={
-        "index": bad,
-        "width_a": _vstr(da[bad]),
-        "width_b": _vstr(db[bad]),
-        "cross": _vstr(cross[bad]),
+        "index": n - 2,
+        "width_a": _vstr(da[-1]),
+        "width_b": _vstr(db[-1]),
+        "cross": _vstr(cross[-1]),
     })
 
 
@@ -331,7 +336,8 @@ def kaplansky_check(seq: PCSeq, limit: Frac, rfunc: RatFunc) -> SeqVerdict:
         raise ValueError("constant functions collapse the sequence")
     image = PCSeq(tuple(rfunc(p) for p in seq.points))
     target = rfunc(limit)
-    pc = is_pc_prefix(image)
+    ws = _widths(image)
+    pc = _pc_verdict(image, ws)
     if pc.status != YES:
         return SeqVerdict(NO, witness={"stage": "image-pc", **pc.to_dict()})
     pl = pseudolimit_check(image, target)
@@ -340,9 +346,9 @@ def kaplansky_check(seq: PCSeq, limit: Frac, rfunc: RatFunc) -> SeqVerdict:
     start = max(pc.index, pl.index)
     if len(seq) - 1 - start < 2:
         return SeqVerdict(INCONCLUSIVE, witness={"stage": "affine-law", "start": start})
-    gammas = width_prefix(seq, start)
-    ws = width_prefix(image, start)
-    fit = kaplansky_fit(gammas, ws)
+    # ws[start:] is what width_prefix(image, start) returns: the widths rise
+    # from pc.index, and the last is finite since v(target - a_rho) rises.
+    fit = kaplansky_fit(width_prefix(seq, start), ws[start:])
     if fit is None:
         return SeqVerdict(NO, witness={"stage": "affine-law", "start": start})
     i, alpha = fit

@@ -53,6 +53,20 @@ class TestPCPrefix:
         assert verdict.status == NO
         assert verdict.witness["indices"] == [0, 1, 2]
 
+    def test_repeated_point_before_a_finite_width(self):
+        xi = ell(0).inv()
+        sums = [sum((xi ** (k + 1) for k in range(n)), Frac.ZERO) for n in range(6)]
+        cases = [
+            ((sums[0], sums[1], sums[1], sums[2], sums[3]), 2, (NO, None)),
+            ((sums[0], sums[1], sums[2], sums[2], sums[3], sums[4], sums[5]), 3, (YES, 3)),
+        ]
+        for points, start, equivalent in cases:
+            verdict = is_pc_prefix(PCSeq(points))
+            assert (verdict.status, verdict.index) == (YES, start)
+            nudged = PCSeq(tuple(p + xi ** (10 + r) for r, p in enumerate(points)))
+            verdict = equivalent_prefix(PCSeq(points), nudged)
+            assert (verdict.status, verdict.index) == equivalent
+
     def test_short_prefix_is_an_error(self):
         with pytest.raises(ValueError):
             is_pc_prefix(PCSeq((Frac.ZERO, Frac.ONE, Frac.from_rat(2))))
