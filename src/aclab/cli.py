@@ -56,11 +56,18 @@ class UsageError(SystemExit):
 
 
 class _ArgParser(argparse.ArgumentParser):
-    """Raises UsageError instead of printing usage to stderr; subparsers
-    inherit the class.  ``--help`` still prints help and exits 0."""
+    """Raises UsageError instead of printing usage to stderr, followed by
+    the parser's ``hint`` if it has one; subparsers inherit the class.
+    ``--help`` still prints help and exits 0."""
+
+    hint = ""
 
     def error(self, message: str):
-        raise UsageError(f"{self.prog}: {message}")
+        raise UsageError(f"{self.prog}: {message}{self.hint}")
+
+
+# argparse reads an expression such as -x as an unknown option.
+DASH_HINT = "; an expression starting with '-' goes after '--', as in 'aclab val -- -x'"
 
 
 # ---------------------------------------------------------------------------
@@ -607,17 +614,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("val", help="valuation of an expression")
     p.add_argument("expr")
+    p.hint = DASH_HINT
     common(p)
     p.set_defaults(fn=_cmd_val)
 
     p = sub.add_parser("psi", help="psi of the valuation of an expression")
     p.add_argument("expr")
+    p.hint = DASH_HINT
     common(p)
     p.set_defaults(fn=_cmd_psi)
 
     p = sub.add_parser("cmp", help="compare two expressions")
     p.add_argument("left")
     p.add_argument("right")
+    p.hint = DASH_HINT
     common(p)
     p.set_defaults(fn=_cmd_cmp)
 

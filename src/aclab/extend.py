@@ -47,12 +47,6 @@ BIG_INT = "bigint"
 
 KINDS = (SMALL_INT, SMALL_EXP_INT, BIG_INT)
 
-STRENGTHENED_STEP_NOTE = (
-    "the strengthened step bound gamma + integrate(gamma) needs the ambient "
-    "field to absorb all small integrals (or all exp-integrals); the shipped "
-    "field does not, so the strengthened variant is logged as skipped"
-)
-
 
 @dataclass(frozen=True)
 class ExtScenario:

@@ -37,6 +37,14 @@ def test_usage_errors_are_json(capsys, monkeypatch, argv, needle):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("argv", [["val", "-x"], ["psi", "-x"], ["cmp", "x", "-y"]])
+def test_dash_expression_error_points_to_separator(capsys, monkeypatch, argv):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    code = main(argv)
+    assert code == 2
+    assert "goes after '--', as in 'aclab val -- -x'" in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_help_still_prints_text(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])
