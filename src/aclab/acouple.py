@@ -24,8 +24,10 @@ from typing import Optional, Union
 
 from .ogroup import (
     DELTA,
+    INFINITY,
     ExtElem,
     ExtLike,
+    GammaInf,
     GroupElem,
     arch_cmp,
     ext_cmp,
@@ -33,53 +35,6 @@ from .ogroup import (
     unit,
     vector_json,
 )
-
-
-class _Infinity:
-    """The top point adjoined to the value group; compares above everything."""
-
-    _instance: Optional["_Infinity"] = None
-
-    def __new__(cls) -> "_Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return other is self
-
-    def __gt__(self, other: object) -> bool:
-        return other is not self
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return "Infinity"
-
-    def __str__(self) -> str:
-        return "infinity"
-
-
-INFINITY = _Infinity()
-
-GammaInf = Union[GroupElem, _Infinity]
-
-
-def gamma_le(a: GammaInf, b: GammaInf) -> bool:
-    """Order on the value group with infinity on top."""
-    if b is INFINITY:
-        return True
-    if a is INFINITY:
-        return False
-    return a <= b
-
-
-def gamma_min(a: GammaInf, b: GammaInf) -> GammaInf:
-    return a if gamma_le(a, b) else b
 
 
 def psi(gamma: ExtLike) -> GammaInf:
@@ -277,7 +232,7 @@ def verify_couple_axioms(
         pa, pb = psi(a), psi(b)
         s = a + b
         ps = psi(s)
-        if not gamma_le(gamma_min(pa, pb), ps):
+        if not min(pa, pb) <= ps:
             failures.append({"axiom": "AC1", "case": case, "a": str(a), "b": str(b)})
         if psi(a.scale(k)) != pa:
             failures.append({"axiom": "AC2", "case": case, "a": str(a), "k": k})
@@ -285,7 +240,7 @@ def verify_couple_axioms(
             failures.append({"axiom": "AC3", "case": case, "a": str(a), "b": str(b)})
         lo, hi = (a, b) if ext_cmp(a, b) <= 0 else (b, a)
         if lo.sign() > 0:
-            if not gamma_le(psi(hi), psi(lo)):
+            if not psi(hi) <= psi(lo):
                 failures.append({"axiom": "HC", "case": case, "a": str(lo), "b": str(hi)})
         if len(failures) > 50:
             break
@@ -429,11 +384,11 @@ def classify_couple(desc: Union[str, CoupleDescriptor], seed: int = 7, samples: 
         top = ones(bound)
         for k in range(bound):
             value = psi(unit(k).scale(rng.choice([1, 2, Fraction(1, 2)])))
-            if not gamma_le(value, top):
+            if not value <= top:
                 raise AssertionError("grounded certificate failed: psi exceeds the claimed maximum")
         for _ in range(samples):
             g = sample_nonzero(rng, max_index=bound - 1)
-            if not gamma_le(psi(g), top):
+            if not psi(g) <= top:
                 raise AssertionError("grounded certificate failed on a sample")
         if psi(unit(bound - 1)) != top:
             raise AssertionError("grounded certificate failed: maximum not attained")

@@ -495,13 +495,9 @@ def _emit(payload: dict, pretty: bool) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _vjson(v) -> object:
-    return vector_json(v) if isinstance(v, GroupElem) else "infinity"
-
-
 def _cmd_val(args: argparse.Namespace) -> int:
     f = evaluate(parse(args.expr))
-    _emit({"valuation": _vjson(f.valuation())}, args.pretty)
+    _emit({"valuation": vector_json(f.valuation())}, args.pretty)
     return 0
 
 
@@ -518,8 +514,8 @@ def _cmd_cmp(args: argparse.Namespace) -> int:
     f = evaluate(parse(args.left))
     g = evaluate(parse(args.right))
     _emit({
-        "left": _vjson(f.valuation()),
-        "right": _vjson(g.valuation()),
+        "left": vector_json(f.valuation()),
+        "right": vector_json(g.valuation()),
         "dominance": dominance(f, g).value,
         "equal": f == g,
     }, args.pretty)

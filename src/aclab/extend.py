@@ -121,10 +121,7 @@ def example(kind: str) -> ExtScenario:
 
 
 def _require_small(w: Frac) -> None:
-    if w.is_zero():
-        return
-    v = w.valuation()
-    if not (isinstance(v, GroupElem) and v > GroupElem.ZERO):
+    if not w.valuation() > GroupElem.ZERO:
         raise ValueError("witness must be infinitesimal for this scenario kind")
 
 

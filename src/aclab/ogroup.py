@@ -12,12 +12,20 @@ coordinate sequence is constant 1.  Sums ``base + q*delta`` are compared
 through their padded, eventually constant coordinate sequences; this
 places ``delta`` above every finite prefix ``e_0 + ... + e_n`` but below
 anything with a head start at an earlier coordinate.
+
+Valuations take values in Gamma_inf = Gamma with a top point ``INFINITY``
+adjoined, the value of zero (Aschenbrenner, van den Dries and van der
+Hoeven, *Asymptotic Differential Algebra and Model Theory of Transseries*,
+2017).  The order on Gamma_inf lives here: ``INFINITY`` is above every
+vector, vector comparisons ``<``, ``<=``, ``>`` and ``>=`` accept it on
+either side, ``min`` and ``max`` work across both, and ``vector_json``
+prints it as ``"infinity"``.  ``cmp`` compares vectors only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 Rat = Fraction
 
@@ -36,7 +44,8 @@ class GroupElem:
 
     Instances are immutable and hashable; all arithmetic returns fresh
     values.  The comparison operators implement the lexicographic order
-    with coordinate 0 dominant.
+    with coordinate 0 dominant, and accept INFINITY on the right, which is
+    above every vector.
     """
 
     __slots__ = ("_items", "_hash")
@@ -212,17 +221,17 @@ class GroupElem:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def __lt__(self, other: "GroupElem") -> bool:
-        return cmp(self, other) < 0
+    def __lt__(self, other: "GammaInf") -> bool:
+        return other is INFINITY or cmp(self, other) < 0
 
-    def __le__(self, other: "GroupElem") -> bool:
-        return cmp(self, other) <= 0
+    def __le__(self, other: "GammaInf") -> bool:
+        return other is INFINITY or cmp(self, other) <= 0
 
-    def __gt__(self, other: "GroupElem") -> bool:
-        return cmp(self, other) > 0
+    def __gt__(self, other: "GammaInf") -> bool:
+        return other is not INFINITY and cmp(self, other) > 0
 
-    def __ge__(self, other: "GroupElem") -> bool:
-        return cmp(self, other) >= 0
+    def __ge__(self, other: "GammaInf") -> bool:
+        return other is not INFINITY and cmp(self, other) >= 0
 
     def to_list(self) -> list[Fraction]:
         """Dense coefficient list through the highest supported index."""
@@ -239,6 +248,40 @@ class GroupElem:
 
 
 GroupElem.ZERO = GroupElem()
+
+
+class _Infinity:
+    """The top point adjoined to the value group; compares above everything."""
+
+    _instance: Optional["_Infinity"] = None
+
+    def __new__(cls) -> "_Infinity":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __lt__(self, other: object) -> bool:
+        return False
+
+    def __le__(self, other: object) -> bool:
+        return other is self
+
+    def __gt__(self, other: object) -> bool:
+        return other is not self
+
+    def __ge__(self, other: object) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return "Infinity"
+
+    def __str__(self) -> str:
+        return "infinity"
+
+
+INFINITY = _Infinity()
+
+GammaInf = Union[GroupElem, _Infinity]
 
 
 def _from_items(items: tuple[tuple[int, Fraction], ...]) -> GroupElem:
@@ -446,8 +489,11 @@ def rat_json(q: Fraction) -> Union[int, str]:
     return str(q)
 
 
-def vector_json(g: GroupElem) -> list[Union[int, str]]:
-    """Dense JSON form of a vector, exact coefficients throughout."""
+def vector_json(g: GammaInf) -> Union[list[Union[int, str]], str]:
+    """Dense JSON form of a vector, exact coefficients throughout;
+    ``"infinity"`` for INFINITY."""
+    if g is INFINITY:
+        return "infinity"
     return [rat_json(c) for c in g.to_list()]
 
 

@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .acouple import GammaInf, Report, gamma_le
+from .acouple import Report
 from .logts import Frac, ell, logderiv, random_frac
-from .ogroup import GroupElem, ones, vector_json
+from .ogroup import GammaInf, GroupElem, ones, vector_json
 
 YES = "yes"
 NO = "no"
@@ -60,10 +60,6 @@ class PCSeq:
         return self.points[i]
 
 
-def _vstr(v: GammaInf) -> object:
-    return vector_json(v) if isinstance(v, GroupElem) else str(v)
-
-
 def _widths(seq: PCSeq, start: int = 0) -> list[GammaInf]:
     """v(a_{rho+1} - a_rho) for rho from ``start`` on."""
     return [(seq[rho + 1] - seq[rho]).valuation() for rho in range(start, len(seq) - 1)]
@@ -94,7 +90,7 @@ def is_pc_prefix(seq: PCSeq) -> SeqVerdict:
 def _pc_verdict(seq: PCSeq, widths: list[GammaInf]) -> SeqVerdict:
     n = len(seq)
     _require_four(n)
-    start = _suffix_start([not gamma_le(b, a) for a, b in zip(widths, widths[1:])], n - 3)
+    start = _suffix_start([b > a for a, b in zip(widths, widths[1:])], n - 3)
     if start is not None:
         return SeqVerdict(YES, start)
 
@@ -103,11 +99,11 @@ def _pc_verdict(seq: PCSeq, widths: list[GammaInf]) -> SeqVerdict:
         return widths[i] if j == i + 1 else (seq[j] - seq[i]).valuation()
 
     i, j, k = next((i, j, k) for i in range(n - 2) for j in range(i + 1, n - 1)
-                   for k in range(j + 1, n) if gamma_le(v(j, k), v(i, j)))
+                   for k in range(j + 1, n) if v(j, k) <= v(i, j))
     return SeqVerdict(NO, witness={
         "indices": [i, j, k],
-        "low": _vstr(v(i, j)),
-        "high": _vstr(v(j, k)),
+        "low": vector_json(v(i, j)),
+        "high": vector_json(v(j, k)),
     })
 
 
@@ -118,7 +114,7 @@ def width_prefix(seq: PCSeq, start: int = 0) -> list[GroupElem]:
     for r, v in enumerate(widths):
         if not isinstance(v, GroupElem):
             raise ValueError(f"equal consecutive points at index {start + r}")
-        if r and gamma_le(v, widths[r - 1]):
+        if r and v <= widths[r - 1]:
             raise ValueError(f"widths fail to increase at index {start + r}")
     return widths
 
@@ -143,15 +139,15 @@ def pseudolimit_check(seq: PCSeq, x: Frac) -> SeqVerdict:
             "reason": "x equals the final point of the prefix",
             "index": p,
         })
-    rising = [not gamma_le(b, a) for a, b in zip(vs, vs[1:])]
+    rising = [b > a for a, b in zip(vs, vs[1:])]
     start = _suffix_start(rising, n - 3)
     if start is not None:
         return SeqVerdict(YES, start)
     bad = rising.index(False)
     return SeqVerdict(NO, witness={
         "index": bad,
-        "at": _vstr(vs[bad]),
-        "next": _vstr(vs[bad + 1]),
+        "at": vector_json(vs[bad]),
+        "next": vector_json(vs[bad + 1]),
     })
 
 
@@ -165,15 +161,14 @@ def equivalent_prefix(a: PCSeq, b: PCSeq) -> SeqVerdict:
     da = _widths(PCSeq(a.points[:n]))
     db = _widths(PCSeq(b.points[:n]))
     cross = [(b[r] - a[r]).valuation() for r in range(n - 1)]
-    start = _suffix_start([da[r] == db[r] and not gamma_le(cross[r], da[r])
-                           for r in range(n - 1)], n - 4)
+    start = _suffix_start([da[r] == db[r] and cross[r] > da[r] for r in range(n - 1)], n - 4)
     if start is not None:
         return SeqVerdict(YES, start)
     return SeqVerdict(NO, witness={
         "index": n - 2,
-        "width_a": _vstr(da[-1]),
-        "width_b": _vstr(db[-1]),
-        "cross": _vstr(cross[-1]),
+        "width_a": vector_json(da[-1]),
+        "width_b": vector_json(db[-1]),
+        "cross": vector_json(cross[-1]),
     })
 
 
@@ -221,7 +216,7 @@ def lambda_free_witness(s: Frac, limit: int) -> Optional[int]:
     valuation, which only says s + lambda_n vanished exactly)."""
     for n in range(limit + 1):
         v = (s + lambda_term(n)).valuation()
-        if isinstance(v, GroupElem) and v <= ones(n + 1):
+        if v <= ones(n + 1):
             return n
     return None
 

@@ -6,9 +6,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from aclab.acouple import gamma_le
 from aclab.logts import Frac, ell
-from aclab.ogroup import GroupElem, vector_json
+from aclab.ogroup import INFINITY, GroupElem, cmp, vector_json
 from aclab.pcseq import PCSeq, equivalent_prefix, is_pc_prefix, pseudolimit_check
 
 XI = ell(0).inv()
@@ -22,7 +21,10 @@ CASES = 400
 
 
 def _above(high, low) -> bool:
-    return not gamma_le(high, low)
+    """high > low with infinity on top, from the vector comparison alone."""
+    if low is INFINITY:
+        return False
+    return high is INFINITY or cmp(high, low) > 0
 
 
 def _vstr(v) -> object:
