@@ -58,9 +58,17 @@ class UsageError(SystemExit):
 class _ArgParser(argparse.ArgumentParser):
     """Raises UsageError instead of printing usage to stderr, followed by
     the parser's ``hint`` if it has one; subparsers inherit the class.
+    A parser with a hint reports unrecognized arguments itself instead of
+    leaving them to the top-level parser, so they get the hint too.
     ``--help`` still prints help and exits 0."""
 
     hint = ""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self.hint:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message: str):
         raise UsageError(f"{self.prog}: {message}{self.hint}")

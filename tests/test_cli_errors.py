@@ -26,6 +26,8 @@ def test_json_flag_is_gone(monkeypatch):
     (["val", "-x"], "required: expr"),
     (["mystery"], "invalid choice"),
     (["extend", "step"], "--kind"),
+    (["suite", "couple", "--bogus"], "unrecognized arguments: --bogus"),
+    (["lambda", "1", "-y"], "unrecognized arguments: -y"),
 ])
 def test_usage_errors_are_json(capsys, monkeypatch, argv, needle):
     monkeypatch.delenv("ACLAB_SEED", raising=False)
@@ -37,12 +39,21 @@ def test_usage_errors_are_json(capsys, monkeypatch, argv, needle):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("argv", [["val", "-x"], ["psi", "-x"], ["cmp", "x", "-y"]])
+@pytest.mark.parametrize("argv", [["val", "-x"], ["psi", "-x"], ["cmp", "x", "-y"],
+                                  ["val", "x", "-y"], ["psi", "x", "-y"], ["cmp", "x", "-y", "z"]])
 def test_dash_expression_error_points_to_separator(capsys, monkeypatch, argv):
     monkeypatch.delenv("ACLAB_SEED", raising=False)
     code = main(argv)
     assert code == 2
     assert "goes after '--', as in 'aclab val -- -x'" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("argv", [["suite", "couple", "--bogus"], ["lambda", "1", "-y"]])
+def test_other_commands_get_no_separator_hint(capsys, monkeypatch, argv):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    code = main(argv)
+    assert code == 2
+    assert "'--'" not in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_help_still_prints_text(capsys):
