@@ -155,20 +155,24 @@ def equivalent_prefix(a: PCSeq, b: PCSeq) -> SeqVerdict:
     """Sufficient same-pseudolimit check on a common prefix: from some
     index the two width sequences agree and the cross difference lies
     strictly above the shared width, so any pseudolimit of one sequence
-    is forced (ultrametrically) to be a pseudolimit of the other."""
+    is forced (ultrametrically) to be a pseudolimit of the other.  A ``no``
+    reports the last index where the condition fails, which blocks every
+    start."""
     n = min(len(a), len(b))
     _require_four(n)
     da = _widths(PCSeq(a.points[:n]))
     db = _widths(PCSeq(b.points[:n]))
     cross = [(b[r] - a[r]).valuation() for r in range(n - 1)]
-    start = _suffix_start([da[r] == db[r] and cross[r] > da[r] for r in range(n - 1)], n - 4)
+    holds = [da[r] == db[r] and cross[r] > da[r] for r in range(n - 1)]
+    start = _suffix_start(holds, n - 4)
     if start is not None:
         return SeqVerdict(YES, start)
+    bad = max(r for r, ok in enumerate(holds) if not ok)
     return SeqVerdict(NO, witness={
-        "index": n - 2,
-        "width_a": vector_json(da[-1]),
-        "width_b": vector_json(db[-1]),
-        "cross": vector_json(cross[-1]),
+        "index": bad,
+        "width_a": vector_json(da[bad]),
+        "width_b": vector_json(db[bad]),
+        "cross": vector_json(cross[bad]),
     })
 
 

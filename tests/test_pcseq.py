@@ -67,6 +67,14 @@ class TestPCPrefix:
             verdict = equivalent_prefix(PCSeq(points), nudged)
             assert (verdict.status, verdict.index) == equivalent
 
+    def test_equivalence_witness_is_the_blocking_index(self):
+        xi = ell(0).inv()
+        points = (Frac.ZERO, xi, xi, xi + xi ** 2, xi + xi ** 2 + xi ** 3)
+        nudged = PCSeq(tuple(p + xi ** (10 + r) for r, p in enumerate(points)))
+        verdict = equivalent_prefix(PCSeq(points), nudged)
+        assert verdict.to_dict() == {"status": NO, "witness": {
+            "index": 1, "width_a": "infinity", "width_b": [11], "cross": [11]}}
+
     def test_short_prefix_is_an_error(self):
         with pytest.raises(ValueError):
             is_pc_prefix(PCSeq((Frac.ZERO, Frac.ONE, Frac.from_rat(2))))

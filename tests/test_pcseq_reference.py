@@ -69,17 +69,23 @@ def reference_pseudolimit(points: tuple[Frac, ...], x: Frac) -> dict:
 
 def reference_equivalent(a: tuple[Frac, ...], b: tuple[Frac, ...]) -> dict:
     """Equal widths and a cross difference strictly above them at every
-    index from a start that leaves at least three widths."""
+    index from a start that leaves at least three widths; otherwise the
+    last index where that fails."""
     n = min(len(a), len(b))
     da = [(a[r + 1] - a[r]).valuation() for r in range(n - 1)]
     db = [(b[r + 1] - b[r]).valuation() for r in range(n - 1)]
     cross = [(b[r] - a[r]).valuation() for r in range(n - 1)]
+
+    def holds(r: int) -> bool:
+        return da[r] == db[r] and _above(cross[r], da[r])
+
     for start in range(n - 3):
-        if all(da[r] == db[r] and _above(cross[r], da[r]) for r in range(start, n - 1)):
+        if all(holds(r) for r in range(start, n - 1)):
             return {"status": "yes", "index": start}
-    return {"status": "no", "witness": {"index": n - 2, "width_a": _vstr(da[n - 2]),
-                                        "width_b": _vstr(db[n - 2]),
-                                        "cross": _vstr(cross[n - 2])}}
+    bad = max(r for r in range(n - 1) if not holds(r))
+    return {"status": "no", "witness": {"index": bad, "width_a": _vstr(da[bad]),
+                                        "width_b": _vstr(db[bad]),
+                                        "cross": _vstr(cross[bad])}}
 
 
 def random_prefix(rng: random.Random) -> tuple[Frac, ...]:
