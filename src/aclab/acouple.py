@@ -368,7 +368,7 @@ def conformance_grid() -> Report:
     return Report("conformance-grid", 0, cases, tuple(failures))
 
 
-def classify_couple(desc: Union[str, CoupleDescriptor], seed: int = 7, samples: int = 64) -> TrichotomyResult:
+def classify_couple(desc: Union[str, CoupleDescriptor], seed: int = 7) -> TrichotomyResult:
     """Place the couple instance in the trichotomy, re-verifying the verdict.
 
     Grounded: the maximum of the psi image is exhibited and checked
@@ -386,7 +386,7 @@ def classify_couple(desc: Union[str, CoupleDescriptor], seed: int = 7, samples: 
             value = psi(unit(k).scale(rng.choice([1, 2, Fraction(1, 2)])))
             if not value <= top:
                 raise AssertionError("grounded certificate failed: psi exceeds the claimed maximum")
-        for _ in range(samples):
+        for _ in range(64):
             g = sample_nonzero(rng, max_index=bound - 1)
             if not psi(g) <= top:
                 raise AssertionError("grounded certificate failed on a sample")
@@ -394,7 +394,7 @@ def classify_couple(desc: Union[str, CoupleDescriptor], seed: int = 7, samples: 
             raise AssertionError("grounded certificate failed: maximum not attained")
         return TrichotomyResult("grounded", max_psi=top)
     if desc.kind == "logfull":
-        for _ in range(samples):
+        for _ in range(64):
             g = sample_nonzero(rng)
             if integrate(der(g)) != g:
                 raise AssertionError("integration certificate failed: integrate(der(g)) != g")
@@ -410,7 +410,7 @@ def classify_couple(desc: Union[str, CoupleDescriptor], seed: int = 7, samples: 
             small = unit(k).scale(Fraction(1, m))
             if not ext_cmp(der(small), DELTA) > 0:
                 raise AssertionError("gap certificate failed: delta not below a derivative")
-    for _ in range(samples):
+    for _ in range(64):
         g = sample_nonzero(rng)
         if g.sign() > 0 and not ext_cmp(der(g), DELTA) > 0:
             raise AssertionError("gap certificate failed on a sampled derivative")

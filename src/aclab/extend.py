@@ -151,8 +151,8 @@ def initial_witness(sc: ExtScenario) -> Witness:
     return Witness(Frac.ZERO, s_value(sc, Frac.ZERO))
 
 
-def _monomial_frac(valuation: GroupElem, coeff: Fraction = Fraction(1)) -> Frac:
-    return Frac(Series.monomial(Monomial(-valuation), coeff))
+def _monomial_frac(valuation: GroupElem) -> Frac:
+    return Frac(Series.monomial(Monomial(-valuation)))
 
 
 def step_bound(gamma: GroupElem) -> GroupElem:
@@ -199,12 +199,12 @@ def yardstick_step(sc: ExtScenario, w: Witness, window: Optional[GroupElem] = No
     raise ValueError(f"step did not reach the bound {bound} from {w.gamma}")
 
 
-def chain(sc: ExtScenario, steps: int, start: Optional[Witness] = None) -> list[Witness]:
+def chain(sc: ExtScenario, steps: int) -> list[Witness]:
     """Iterate the step from the initial witness; the returned list starts
     at the seed witness and has one entry per verified step."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    w = initial_witness(sc) if start is None else start
+    w = initial_witness(sc)
     window = None
     if sc.kind == SMALL_EXP_INT:
         window = integrate(w.gamma + unit(1).scale(steps + 8))

@@ -589,9 +589,9 @@ COEFF_POOL = [Fraction(n) for n in range(-9, 10) if n] + [
 ]
 
 
-def random_monomial(rng: random.Random, max_index: int = 8, max_support: int = 3) -> Monomial:
-    size = rng.randint(0, max_support)
-    indices = rng.sample(range(max_index + 1), min(size, max_index + 1))
+def random_monomial(rng: random.Random) -> Monomial:
+    """At most 3 generators, indices at most 8."""
+    indices = rng.sample(range(9), rng.randint(0, 3))
     return Monomial(GroupElem((i, rng.choice(MONOMIAL_EXP_POOL)) for i in indices))
 
 

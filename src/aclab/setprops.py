@@ -387,17 +387,17 @@ def _find_escape(desc: SetDescriptor, base: GroupElem, k: int) -> Optional[Group
     return None
 
 
-def _jam_search(desc: SetDescriptor, seed: int = 2029, frontier: int = 24) -> PropertyVerdict:
+def _jam_search(desc: SetDescriptor) -> PropertyVerdict:
     """Bounded falsification: at each tail index, try to escape from every
     candidate base.  All candidates escaping at some level is reported as
     Fails; a surviving candidate moves the search on; exhaustion is Unknown."""
-    rng = random.Random(seed)
+    rng = random.Random(2029)
     candidates: list[GroupElem] = []
     for i in range(6):
         c = _cofinal_member(desc, i)
         if c is not None:
             candidates.append(c)
-    for _ in range(frontier):
+    for _ in range(24):
         try:
             candidates.append(sample_member(desc, rng))
         except UnsupportedDescriptor:
@@ -423,15 +423,15 @@ def _jam_search(desc: SetDescriptor, seed: int = 2029, frontier: int = 24) -> Pr
                            {"levels_tried": K_MAX, "frontier": len(candidates)})
 
 
-def recheck_jammed(desc: SetDescriptor, verdict: PropertyVerdict, seed: int = 5, probes: int = 60) -> bool:
+def recheck_jammed(desc: SetDescriptor, verdict: PropertyVerdict) -> bool:
     """Re-verify a jammedness verdict's certificate by sampling."""
-    rng = random.Random(seed)
+    rng = random.Random(5)
     if verdict.verdict == HOLDS:
         for k in (1, 2, 3, K_MAX):
             base = _jam_base(desc, k)
             if base is None or not member(desc, base):
                 return False
-            for _ in range(probes):
+            for _ in range(60):
                 g = sample_member(desc, rng)
                 if g >= base and not _in_tail(g - base, k):
                     return False
@@ -440,7 +440,7 @@ def recheck_jammed(desc: SetDescriptor, verdict: PropertyVerdict, seed: int = 5,
         level = _witness_level(verdict)
         if level is None or level < 1:
             return False
-        for _ in range(probes):
+        for _ in range(60):
             g = sample_member(desc, rng)
             if not member(desc, g) or _find_escape(desc, g, level) is None:
                 return False
@@ -549,8 +549,7 @@ def _yardstick_search_guarded(desc: SetDescriptor, step=_step,
                                {"reason": str(exc)})
 
 
-def _yardstick_search(desc: SetDescriptor, seed: int = 2031, frontier: int = 200,
-                      step=_step, rule_prefix: str = "") -> PropertyVerdict:
+def _yardstick_search(desc: SetDescriptor, step=_step, rule_prefix: str = "") -> PropertyVerdict:
     """Search for members whose step leaves the set.
 
     Both step maps are strictly increasing, so on a downward-closed set a
@@ -560,10 +559,10 @@ def _yardstick_search(desc: SetDescriptor, seed: int = 2031, frontier: int = 200
     bases below them, and a bounded search reports Fails only when they
     recur along the frontier.
     """
-    rng = random.Random(seed)
+    rng = random.Random(2031)
     escapes: list[GroupElem] = []
     tried = 0
-    for i in range(frontier):
+    for i in range(200):
         g = _cofinal_member(desc, i) if i < 8 else None
         if g is None:
             try:
@@ -616,9 +615,9 @@ def has_derived_yardstick(desc: SetDescriptor) -> PropertyVerdict:
 
 
 def recheck_yardstick(desc: SetDescriptor, verdict: PropertyVerdict,
-                      seed: int = 6, probes: int = 120, derived: bool = False) -> bool:
+                      probes: int = 120, derived: bool = False) -> bool:
     """Re-verify a yardstick verdict's certificate by sampling."""
-    rng = random.Random(seed)
+    rng = random.Random(6)
     step = step_bound if derived else _step
     if verdict.verdict == HOLDS:
         base = _verdict_base(verdict)
