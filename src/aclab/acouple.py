@@ -39,12 +39,10 @@ from .ogroup import (
 
 def psi(gamma: ExtLike) -> GammaInf:
     """e_0 + ... + e_n for first nonzero (padded) index n; infinity at zero."""
-    if isinstance(gamma, ExtElem):
-        if gamma.is_zero():
-            return INFINITY
-        return ones(gamma.first_padded_index() + 1)
     if gamma.is_zero():
         return INFINITY
+    if isinstance(gamma, ExtElem):
+        return ones(gamma.first_padded_index() + 1)
     return ones(gamma.first_index() + 1)
 
 

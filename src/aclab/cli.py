@@ -58,8 +58,7 @@ class UsageError(SystemExit):
 class _ArgParser(argparse.ArgumentParser):
     """Raises UsageError instead of printing usage to stderr, followed by
     the parser's ``hint`` if it has one; subparsers inherit the class.
-    A parser with a hint reports unrecognized arguments itself instead of
-    leaving them to the top-level parser, so they get the hint too.
+    A parser with a hint also reports its own unrecognized arguments.
     ``--help`` still prints help and exits 0."""
 
     hint = ""

@@ -590,7 +590,6 @@ COEFF_POOL = [Fraction(n) for n in range(-9, 10) if n] + [
 
 
 def random_monomial(rng: random.Random) -> Monomial:
-    """At most 3 generators, indices at most 8."""
     indices = rng.sample(range(9), rng.randint(0, 3))
     return Monomial(GroupElem((i, rng.choice(MONOMIAL_EXP_POOL)) for i in indices))
 

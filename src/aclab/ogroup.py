@@ -13,13 +13,10 @@ through their padded, eventually constant coordinate sequences; this
 places ``delta`` above every finite prefix ``e_0 + ... + e_n`` but below
 anything with a head start at an earlier coordinate.
 
-Valuations take values in Gamma_inf = Gamma with a top point ``INFINITY``
-adjoined, the value of zero (Aschenbrenner, van den Dries and van der
-Hoeven, *Asymptotic Differential Algebra and Model Theory of Transseries*,
-2017).  The order on Gamma_inf lives here: ``INFINITY`` is above every
-vector, vector comparisons ``<``, ``<=``, ``>`` and ``>=`` accept it on
-either side, ``min`` and ``max`` work across both, and ``vector_json``
-prints it as ``"infinity"``.  ``cmp`` compares vectors only.
+Valuations take values in Gamma with a top point ``INFINITY`` adjoined,
+the value of zero.  ``INFINITY`` is the top of the value order: vector
+comparisons accept it on either side, and ``vector_json`` prints it as
+``"infinity"``.  ``cmp`` compares vectors only.
 """
 
 from __future__ import annotations
@@ -490,8 +487,7 @@ def rat_json(q: Fraction) -> Union[int, str]:
 
 
 def vector_json(g: GammaInf) -> Union[list[Union[int, str]], str]:
-    """Dense JSON form of a vector, exact coefficients throughout;
-    ``"infinity"`` for INFINITY."""
+    """Dense JSON form of a vector, exact coefficients throughout; "infinity" for INFINITY."""
     if g is INFINITY:
         return "infinity"
     return [rat_json(c) for c in g.to_list()]

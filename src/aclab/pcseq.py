@@ -156,8 +156,7 @@ def equivalent_prefix(a: PCSeq, b: PCSeq) -> SeqVerdict:
     index the two width sequences agree and the cross difference lies
     strictly above the shared width, so any pseudolimit of one sequence
     is forced (ultrametrically) to be a pseudolimit of the other.  A ``no``
-    reports the last index where the condition fails, which blocks every
-    start."""
+    reports the last index where the condition fails: it blocks every start."""
     n = min(len(a), len(b))
     _require_four(n)
     da = _widths(PCSeq(a.points[:n]))
