@@ -30,7 +30,6 @@ from .ogroup import (
     GammaInf,
     GroupElem,
     arch_cmp,
-    ext_cmp,
     ones,
     unit,
     vector_json,
@@ -41,8 +40,6 @@ def psi(gamma: ExtLike) -> GammaInf:
     """e_0 + ... + e_n for first nonzero (padded) index n; infinity at zero."""
     if gamma.is_zero():
         return INFINITY
-    if isinstance(gamma, ExtElem):
-        return ones(gamma.first_padded_index() + 1)
     return ones(gamma.first_index() + 1)
 
 
@@ -234,9 +231,9 @@ def verify_couple_axioms(
             failures.append({"axiom": "AC1", "case": case, "a": str(a), "b": str(b)})
         if psi(a.scale(k)) != pa:
             failures.append({"axiom": "AC2", "case": case, "a": str(a), "k": k})
-        if a.sign() > 0 and not ext_cmp(a + pa, pb) > 0:
+        if a.sign() > 0 and not a + pa > pb:
             failures.append({"axiom": "AC3", "case": case, "a": str(a), "b": str(b)})
-        lo, hi = (a, b) if ext_cmp(a, b) <= 0 else (b, a)
+        lo, hi = (a, b) if a <= b else (b, a)
         if lo.sign() > 0:
             if not psi(hi) <= psi(lo):
                 failures.append({"axiom": "HC", "case": case, "a": str(lo), "b": str(hi)})
@@ -383,35 +380,35 @@ def classify_couple(desc: Union[str, CoupleDescriptor], seed: int = 7) -> Tricho
         for k in range(bound):
             value = psi(unit(k).scale(rng.choice([1, 2, Fraction(1, 2)])))
             if not value <= top:
-                raise AssertionError("grounded certificate failed: psi exceeds the claimed maximum")
+                raise ArithmeticError("grounded certificate failed: psi exceeds the claimed maximum")
         for _ in range(64):
             g = sample_nonzero(rng, max_index=bound - 1)
             if not psi(g) <= top:
-                raise AssertionError("grounded certificate failed on a sample")
+                raise ArithmeticError("grounded certificate failed on a sample")
         if psi(unit(bound - 1)) != top:
-            raise AssertionError("grounded certificate failed: maximum not attained")
+            raise ArithmeticError("grounded certificate failed: maximum not attained")
         return TrichotomyResult("grounded", max_psi=top)
     if desc.kind == "logfull":
         for _ in range(64):
             g = sample_nonzero(rng)
             if integrate(der(g)) != g:
-                raise AssertionError("integration certificate failed: integrate(der(g)) != g")
+                raise ArithmeticError("integration certificate failed: integrate(der(g)) != g")
             if der(integrate(g)) != g:
-                raise AssertionError("integration certificate failed: der(integrate(g)) != g")
+                raise ArithmeticError("integration certificate failed: der(integrate(g)) != g")
         return TrichotomyResult("asymptotic-integration")
     # The gap couple: psi image < delta < derivatives of positives.
     for k in range(0, 33):
-        if not ext_cmp(DELTA, ones(k + 1)) > 0:
-            raise AssertionError("gap certificate failed: delta not above the psi image")
+        if not DELTA > ones(k + 1):
+            raise ArithmeticError("gap certificate failed: delta not above the psi image")
     for k in range(0, 12):
         for m in (1, 2, 5):
             small = unit(k).scale(Fraction(1, m))
-            if not ext_cmp(der(small), DELTA) > 0:
-                raise AssertionError("gap certificate failed: delta not below a derivative")
+            if not der(small) > DELTA:
+                raise ArithmeticError("gap certificate failed: delta not below a derivative")
     for _ in range(64):
         g = sample_nonzero(rng)
-        if g.sign() > 0 and not ext_cmp(der(g), DELTA) > 0:
-            raise AssertionError("gap certificate failed on a sampled derivative")
+        if g.sign() > 0 and not der(g) > DELTA:
+            raise ArithmeticError("gap certificate failed on a sampled derivative")
     return TrichotomyResult("gap", gap=DELTA)
 
 

@@ -496,10 +496,7 @@ SUITES = {
 # Commands.
 
 def _emit(payload: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, indent=2 if pretty else None, sort_keys=True))
 
 
 def _cmd_val(args: argparse.Namespace) -> int:

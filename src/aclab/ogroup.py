@@ -14,9 +14,11 @@ places ``delta`` above every finite prefix ``e_0 + ... + e_n`` but below
 anything with a head start at an earlier coordinate.
 
 Valuations take values in Gamma with a top point ``INFINITY`` adjoined,
-the value of zero.  ``INFINITY`` is the top of the value order: vector
-comparisons accept it on either side, and ``vector_json`` prints it as
-``"infinity"``.  ``cmp`` compares vectors only.
+the value of zero, and ``vector_json`` prints it as ``"infinity"``.
+``INFINITY`` is the top of the value order: vectors, extension elements
+and ``INFINITY`` compare with one another through their operators, each
+type accepting the other two on either side.  ``cmp`` compares vectors
+only.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ class GroupElem:
 
     Instances are immutable and hashable; all arithmetic returns fresh
     values.  The comparison operators implement the lexicographic order
-    with coordinate 0 dominant, and accept INFINITY on the right, which is
-    above every vector.
+    with coordinate 0 dominant.  They accept INFINITY, which is above every
+    vector, and ExtElem on either side: against those they return
+    NotImplemented, so the other operand's operator decides.
     """
 
     __slots__ = ("_items", "_hash")
@@ -156,8 +159,6 @@ class GroupElem:
         return NotImplemented
 
     def __sub__(self, other: "GroupElem") -> "GroupElem":
-        if isinstance(other, ExtElem):
-            return NotImplemented
         if not isinstance(other, GroupElem):
             return NotImplemented
         ia, ib = self._items, other._items
@@ -205,8 +206,6 @@ class GroupElem:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GroupElem):
             return self._items == other._items
-        if isinstance(other, ExtElem):
-            return other.__eq__(self)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -218,17 +217,25 @@ class GroupElem:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def __lt__(self, other: "GammaInf") -> bool:
-        return other is INFINITY or cmp(self, other) < 0
+    def __lt__(self, other: "GroupElem") -> bool:
+        if isinstance(other, GroupElem):
+            return cmp(self, other) < 0
+        return NotImplemented
 
-    def __le__(self, other: "GammaInf") -> bool:
-        return other is INFINITY or cmp(self, other) <= 0
+    def __le__(self, other: "GroupElem") -> bool:
+        if isinstance(other, GroupElem):
+            return cmp(self, other) <= 0
+        return NotImplemented
 
-    def __gt__(self, other: "GammaInf") -> bool:
-        return other is not INFINITY and cmp(self, other) > 0
+    def __gt__(self, other: "GroupElem") -> bool:
+        if isinstance(other, GroupElem):
+            return cmp(self, other) > 0
+        return NotImplemented
 
-    def __ge__(self, other: "GammaInf") -> bool:
-        return other is not INFINITY and cmp(self, other) >= 0
+    def __ge__(self, other: "GroupElem") -> bool:
+        if isinstance(other, GroupElem):
+            return cmp(self, other) >= 0
+        return NotImplemented
 
     def to_list(self) -> list[Fraction]:
         """Dense coefficient list through the highest supported index."""
@@ -357,8 +364,8 @@ class ExtElem:
 
     ``delta`` stands for the constant-1 coordinate sequence, so the
     element's padded coordinates are ``base_i + q`` for every i.  The
-    sequence is eventually constant ``q``; comparisons read its first
-    nonzero entry.
+    sequence is eventually constant ``q``; comparisons read the first
+    nonzero entry of the difference, and leave INFINITY to its operators.
     """
 
     __slots__ = ("base", "dq")
@@ -376,7 +383,7 @@ class ExtElem:
     def is_zero(self) -> bool:
         return self.dq == 0 and self.base.is_zero()
 
-    def first_padded_index(self) -> int:
+    def first_index(self) -> int:
         """First index with nonzero padded entry; error on the zero element."""
         for i in range(self.base.max_index() + 1):
             if self.padded(i):
@@ -409,13 +416,15 @@ class ExtElem:
         return ExtElem(-self.base, -self.dq)
 
     def __sub__(self, other: object) -> "ExtElem":
-        if isinstance(other, (ExtElem, GroupElem)):
-            return self + (-other if isinstance(other, ExtElem) else ExtElem(-other, 0))
+        if isinstance(other, ExtElem):
+            return ExtElem(self.base - other.base, self.dq - other.dq)
+        if isinstance(other, GroupElem):
+            return ExtElem(self.base - other, self.dq)
         return NotImplemented
 
     def __rsub__(self, other: object) -> "ExtElem":
         if isinstance(other, GroupElem):
-            return ExtElem(other, 0) - self
+            return ExtElem(other - self.base, -self.dq)
         return NotImplemented
 
     def scale(self, factor: RatLike) -> "ExtElem":
@@ -430,19 +439,24 @@ class ExtElem:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.base, self.dq))
+        # With dq == 0 it equals its base, so it hashes like it.
+        return hash((self.base, self.dq)) if self.dq else hash(self.base)
 
     def __lt__(self, other: object) -> bool:
-        return ext_cmp(self, other) < 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() < 0
 
     def __le__(self, other: object) -> bool:
-        return ext_cmp(self, other) <= 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() <= 0
 
     def __gt__(self, other: object) -> bool:
-        return ext_cmp(self, other) > 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() > 0
 
     def __ge__(self, other: object) -> bool:
-        return ext_cmp(self, other) >= 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() >= 0
 
     def __str__(self) -> str:
         if self.dq == 0:
@@ -491,15 +505,3 @@ def vector_json(g: GammaInf) -> Union[list[Union[int, str]], str]:
     if g is INFINITY:
         return "infinity"
     return [rat_json(c) for c in g.to_list()]
-
-
-def as_ext(value: ExtLike) -> ExtElem:
-    if isinstance(value, ExtElem):
-        return value
-    return ExtElem(value, 0)
-
-
-def ext_cmp(a: ExtLike, b: ExtLike) -> int:
-    """Three-way comparison in the extension: sign of ``a - b``."""
-    ea, eb = as_ext(a), as_ext(b)
-    return ExtElem(ea.base - eb.base, ea.dq - eb.dq).sign()

@@ -332,11 +332,11 @@ def is_jammed(desc: SetDescriptor) -> PropertyVerdict:
                                           "is defined for sets without one"})
 
     if isinstance(desc, LessThan):
-        bases = {str(k): vector_json(desc.bound - unit(k).div(2)) for k in (1, 2, 3)}
+        bases = {str(k): vector_json(_cofinal_member(desc, k - 1)) for k in (1, 2, 3)}
         return PropertyVerdict(HOLDS, "principal-downset",
                                {"base_family": "bound - e_k/2", "sample_bases": bases})
     if isinstance(desc, PsiDown):
-        bases = {str(k): vector_json(ones(k)) for k in (1, 2, 3)}
+        bases = {str(k): vector_json(_cofinal_member(desc, k - 1)) for k in (1, 2, 3)}
         return PropertyVerdict(HOLDS, "psi-downset",
                                {"base_family": "ones(k)", "sample_bases": bases})
     if isinstance(desc, Affine):
@@ -428,7 +428,7 @@ def recheck_jammed(desc: SetDescriptor, verdict: PropertyVerdict) -> bool:
     rng = random.Random(5)
     if verdict.verdict == HOLDS:
         for k in (1, 2, 3, K_MAX):
-            base = _jam_base(desc, k)
+            base = _cofinal_member(desc, k - 1)
             if base is None or not member(desc, base):
                 return False
             for _ in range(60):
@@ -454,20 +454,6 @@ def _witness_level(verdict: PropertyVerdict) -> Optional[int]:
         return int(w["level"])
     if "inner_witness" in w:
         return _witness_level(PropertyVerdict(verdict.verdict, verdict.rule, w["inner_witness"]))
-    return None
-
-
-def _jam_base(desc: SetDescriptor, k: int) -> Optional[GroupElem]:
-    """The rule-layer jamming base for tail index k, when one exists."""
-    if isinstance(desc, LessThan):
-        return desc.bound - unit(k).div(2)
-    if isinstance(desc, PsiDown):
-        return ones(k)
-    if isinstance(desc, Affine):
-        inner = _jam_base(desc.inner, k)
-        return None if inner is None else desc.alpha + inner.scale(desc.n)
-    if isinstance(desc, DownClosure):
-        return _jam_base(desc.inner, k)
     return None
 
 
@@ -515,7 +501,7 @@ def has_yardstick(desc: SetDescriptor) -> PropertyVerdict:
                 base = vector_json(integrate(desc.inner.scenario.s_valuation()))
             witness = {"inherited_from": inner.rule, "base": base}
             return PropertyVerdict(HOLDS, "integral-transport", witness)
-        return _yardstick_search_guarded(desc)
+        return _yardstick_search(desc)
     if isinstance(desc, DownClosure):
         inner = has_yardstick(desc.inner)
         if inner.verdict == HOLDS:
@@ -526,11 +512,11 @@ def has_yardstick(desc: SetDescriptor) -> PropertyVerdict:
             if inner.witness:
                 witness["inner_witness"] = inner.witness
             return PropertyVerdict(HOLDS, "downward-transport", witness)
-        return _yardstick_search_guarded(desc)
+        return _yardstick_search(desc)
     if isinstance(desc, ExtS):
         return PropertyVerdict(HOLDS, "step-closed-handle",
                                {"base": vector_json(desc.cofinal(0)), "scenario": desc.kind})
-    return _yardstick_search_guarded(desc)
+    return _yardstick_search(desc)
 
 
 def _less_than_escape(bound: GroupElem) -> dict:
@@ -538,15 +524,6 @@ def _less_than_escape(bound: GroupElem) -> dict:
     w = bound - unit(t).div(2)
     return {"witness": vector_json(w), "stepped": vector_json(_step(w)),
             "family": f"bound - e_t/2 for t >= {t} is cofinal and steps above the bound"}
-
-
-def _yardstick_search_guarded(desc: SetDescriptor, step=_step,
-                              rule_prefix: str = "") -> PropertyVerdict:
-    try:
-        return _yardstick_search(desc, step=step, rule_prefix=rule_prefix)
-    except UnsupportedDescriptor as exc:
-        return PropertyVerdict(UNKNOWN, rule_prefix + "unsupported-membership",
-                               {"reason": str(exc)})
 
 
 def _yardstick_search(desc: SetDescriptor, step=_step, rule_prefix: str = "") -> PropertyVerdict:
@@ -557,23 +534,28 @@ def _yardstick_search(desc: SetDescriptor, step=_step, rule_prefix: str = "") ->
     and above it because steps of larger members dominate an element
     already outside a downward-closed set.  Elsewhere escapes only refute
     bases below them, and a bounded search reports Fails only when they
-    recur along the frontier.
+    recur along the frontier.  A membership test the set does not support
+    gives Unknown.
     """
     rng = random.Random(2031)
     escapes: list[GroupElem] = []
     tried = 0
-    for i in range(200):
-        g = _cofinal_member(desc, i) if i < 8 else None
-        if g is None:
-            try:
-                g = sample_member(desc, rng)
-            except UnsupportedDescriptor:
-                break
-        if not member(desc, g):
-            continue
-        tried += 1
-        if not member(desc, step(g)):
-            escapes.append(g)
+    try:
+        for i in range(200):
+            g = _cofinal_member(desc, i) if i < 8 else None
+            if g is None:
+                try:
+                    g = sample_member(desc, rng)
+                except UnsupportedDescriptor:
+                    break
+            if not member(desc, g):
+                continue
+            tried += 1
+            if not member(desc, step(g)):
+                escapes.append(g)
+    except UnsupportedDescriptor as exc:
+        return PropertyVerdict(UNKNOWN, rule_prefix + "unsupported-membership",
+                               {"reason": str(exc)})
     if escapes:
         top = max(escapes)
         payload = {"witness": vector_json(top), "stepped": vector_json(step(top)),
@@ -611,7 +593,7 @@ def has_derived_yardstick(desc: SetDescriptor) -> PropertyVerdict:
                                {"base": vector_json(base), "scenario": desc.kind,
                                 "certificate": "each step re-verified exactly by the "
                                                "extension machinery"})
-    return _yardstick_search_guarded(desc, step=step_bound, rule_prefix="derived-")
+    return _yardstick_search(desc, step=step_bound, rule_prefix="derived-")
 
 
 def recheck_yardstick(desc: SetDescriptor, verdict: PropertyVerdict,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from aclab import acouple
 from aclab.cli import build_parser, main
 
 
@@ -61,3 +62,16 @@ def test_help_still_prints_text(capsys):
         main(["--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: aclab")
+
+
+def test_failed_certificate_is_a_json_error(capsys, monkeypatch):
+    # With der the identity, e_0 no longer derives above delta, so the gap
+    # certificate fails; that must end in JSON with exit 1, not a traceback.
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    monkeypatch.setattr(acouple, "der", lambda gamma: gamma)
+    code = main(["classify", "loggap"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {
+        "error": "gap certificate failed: delta not below a derivative"}
+    assert captured.err == ""

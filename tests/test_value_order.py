@@ -1,6 +1,6 @@
-"""The order on Gamma_inf = Gamma with INFINITY on top, as the operators of
-``ogroup`` give it, and a suite that meets INFINITY where working code
-never produces it."""
+"""The order on Gamma_inf = Gamma with INFINITY on top, and on the delta
+extension, as the operators of ``ogroup`` give it, and a suite that meets
+INFINITY where working code never produces it."""
 
 from __future__ import annotations
 
@@ -8,11 +8,12 @@ from collections import Counter
 
 from hypothesis import given
 from hypothesis import strategies as st
+import pytest
 
 from aclab import logts
-from aclab.ogroup import INFINITY, cmp, vector_json
+from aclab.ogroup import DELTA, INFINITY, ExtElem, cmp, ones, vector_json
 
-from strategies import group_elems
+from strategies import ext_elems, group_elems
 
 values = st.one_of(group_elems(), st.just(INFINITY))
 
@@ -33,7 +34,7 @@ def test_trichotomy_and_weak_order(a, b):
     assert (b > a) == lt and (b < a) == gt
 
 
-@given(group_elems())
+@given(st.one_of(group_elems(), ext_elems()))
 def test_infinity_is_on_top(g):
     assert g < INFINITY and g <= INFINITY
     assert not g > INFINITY and not g >= INFINITY
@@ -45,6 +46,44 @@ def test_infinity_is_on_top(g):
 @given(values, values)
 def test_min_is_the_reference_min(a, b):
     assert min(a, b) is reference_min(a, b)
+
+
+def padded(x, i):
+    return x.padded(i) if isinstance(x, ExtElem) else x.coeff(i)
+
+
+def reference_padded_cmp(x, y):
+    """Lexicographic comparison of the padded coordinate sequences.  Past
+    both supports each sequence is constant, so one more index decides."""
+    top = max((v.base if isinstance(v, ExtElem) else v).max_index() for v in (x, y))
+    for i in range(top + 2):
+        if padded(x, i) != padded(y, i):
+            return -1 if padded(x, i) < padded(y, i) else 1
+    return 0
+
+
+@given(group_elems(), ext_elems())
+def test_mixed_order_agrees_with_padded_sequences(a, e):
+    for x, y in ((a, e), (e, a)):
+        r = reference_padded_cmp(x, y)
+        assert (x < y, x <= y, x > y, x >= y) == (r < 0, r <= 0, r > 0, r >= 0)
+        assert (x == y) == (r == 0)
+
+
+def test_mixed_order_examples():
+    assert ones(2) < DELTA and DELTA > ones(2)
+    assert not ones(2) >= DELTA and not DELTA <= ones(2)
+    with pytest.raises(TypeError):
+        ones(2) < 3
+    with pytest.raises(TypeError):
+        DELTA < 3
+
+
+@given(group_elems())
+def test_embedded_vector_hashes_like_its_base(a):
+    e = ExtElem(a, 0)
+    assert e == a and hash(e) == hash(a)
+    assert len({a, e}) == 1
 
 
 def test_vector_json_prints_infinity():
