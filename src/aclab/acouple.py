@@ -20,7 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import product
+from typing import Iterator, Optional, Union
 
 from .ogroup import (
     DELTA,
@@ -85,18 +86,34 @@ def chi(gamma: GroupElem) -> GroupElem:
     return unit(gamma.first_index() + 1).scale(-1)
 
 
-@dataclass(frozen=True)
-class Report:
-    """Outcome of a seeded verification suite."""
+FAILURE_CAP = 50
 
-    suite: str
-    seed: int
-    cases: int
-    failures: tuple[dict, ...] = ()
+
+class Report:
+    """Outcome of a seeded verification suite, logged as it runs.  Each failure
+    names its check under ``key``, its case if any, and its data as strings."""
+
+    def __init__(self, suite: str, seed: int, cases: int, key: str) -> None:
+        self.suite = suite
+        self.seed = seed
+        self.cases = cases
+        self.key = key
+        self.failures: list[dict] = []
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def fail(self, name: str, case: Optional[int] = None, **data: object) -> None:
+        head = {self.key: name} if case is None else {self.key: name, "case": case}
+        self.failures.append({**head, **{k: str(v) for k, v in data.items()}})
+
+    def each(self, count: int) -> Iterator[int]:
+        """Cases 0..count-1, stopping after one that leaves over FAILURE_CAP failures."""
+        for case in range(count):
+            yield case
+            if len(self.failures) > FAILURE_CAP:
+                return
 
     def to_dict(self) -> dict:
         return {
@@ -213,7 +230,7 @@ def verify_couple_axioms(
         raise ValueError("sample_size must be at least 1")
     desc = CoupleDescriptor.parse(couple) if isinstance(couple, str) else couple
     rng = random.Random(seed)
-    failures: list[dict] = []
+    report = Report(f"couple-axioms[{desc}]", seed, sample_size, "axiom")
 
     def draw() -> ExtLike:
         if desc.kind == "loggap":
@@ -221,25 +238,23 @@ def verify_couple_axioms(
         bound = desc.n - 1 if desc.kind == "trunc" else 12
         return sample_nonzero(rng, max_index=bound)
 
-    for case in range(sample_size):
+    for case in report.each(sample_size):
         a, b = draw(), draw()
         k = rng.choice([-5, -3, -2, -1, 1, 2, 3, 7])
         pa, pb = psi(a), psi(b)
         s = a + b
         ps = psi(s)
         if not min(pa, pb) <= ps:
-            failures.append({"axiom": "AC1", "case": case, "a": str(a), "b": str(b)})
+            report.fail("AC1", case, a=a, b=b)
         if psi(a.scale(k)) != pa:
-            failures.append({"axiom": "AC2", "case": case, "a": str(a), "k": k})
+            report.fail("AC2", case, a=a, k=k)
         if a.sign() > 0 and not a + pa > pb:
-            failures.append({"axiom": "AC3", "case": case, "a": str(a), "b": str(b)})
+            report.fail("AC3", case, a=a, b=b)
         lo, hi = (a, b) if a <= b else (b, a)
         if lo.sign() > 0:
             if not psi(hi) <= psi(lo):
-                failures.append({"axiom": "HC", "case": case, "a": str(lo), "b": str(hi)})
-        if len(failures) > 50:
-            break
-    return Report(f"couple-axioms[{desc}]", seed, sample_size, tuple(failures))
+                report.fail("HC", case, a=lo, b=hi)
+    return report
 
 
 def identity_suite(sample_size: int, seed: int) -> Report:
@@ -254,62 +269,56 @@ def identity_suite(sample_size: int, seed: int) -> Report:
     if sample_size < 1:
         raise ValueError("sample_size must be at least 1")
     rng = random.Random(seed)
-    failures: list[dict] = []
-
-    def fail(name: str, case: int, **data: object) -> None:
-        failures.append({"identity": name, "case": case, **{k: str(v) for k, v in data.items()}})
-
-    for case in range(sample_size):
+    report = Report("couple-identities", seed, sample_size, "identity")
+    for case in report.each(sample_size):
         a = sample_elem(rng)
         b = sample_elem(rng)
         g = sample_nonzero(rng)
 
         if integrate(a) != a - successor(a):
-            fail("integral", case, a=a)
+            report.fail("integral", case, a=a)
         sa, sb = successor(a), successor(b)
         if sa < sb and psi(b - a) != sa:
-            fail("successor-compare", case, a=a, b=b)
+            report.fail("successor-compare", case, a=a, b=b)
         # Fixed point law: beta = psi(a - beta) exactly for beta = successor(a).
         if psi(a - sa) != sa:
-            fail("successor-fixed-point", case, a=a)
+            report.fail("successor-fixed-point", case, a=a)
         probe = sample_elem(rng)
         if probe != sa and psi(a - probe) == probe:
-            fail("successor-fixed-point-converse", case, a=a, probe=probe)
+            report.fail("successor-fixed-point-converse", case, a=a, probe=probe)
         if not sa < successor(sa):
-            fail("successor-growth", case, a=a)
+            report.fail("successor-growth", case, a=a)
         if arch_cmp(chi(g), g) != -1:
-            fail("contraction-class", case, g=g)
+            report.fail("contraction-class", case, g=g)
         if a != b:
             if arch_cmp(chi(a) - chi(b), a - b) != -1:
-                fail("contraction-difference-class", case, a=a, b=b)
+                report.fail("contraction-difference-class", case, a=a, b=b)
             lo, hi = (a, b) if a < b else (b, a)
             if not lo - chi(lo) < hi - chi(hi):
-                fail("contraction-monotone", case, a=lo, b=hi)
+                report.fail("contraction-monotone", case, a=lo, b=hi)
         # Overspill: from integrate(a) < 0, stepping by multiples of the
         # successor gap crosses to positive integrals for n >= 1.
         if integrate(a) < GroupElem.ZERO:
             gap = successor(a) - a
             for n in (1, 2, 3):
                 if not integrate(a + gap.scale(n + 1)) > GroupElem.ZERO:
-                    fail("overspill", case, a=a, n=n)
+                    report.fail("overspill", case, a=a, n=n)
         # Telescope: integrate(der(g) - integrate(successor(der(g)))) = g - chi(g).
         dg = der(g)
         if integrate(dg - integrate(successor(dg))) != g - chi(g):
-            fail("yardstick-telescope", case, g=g)
+            report.fail("yardstick-telescope", case, g=g)
         ig = integrate(a)
         if ig > GroupElem.ZERO:
             neg_int_succ = -integrate(successor(a))
             if not (ig > neg_int_succ and neg_int_succ == -chi(ig) and neg_int_succ > GroupElem.ZERO):
-                fail("yardstick-bound", case, a=a)
+                report.fail("yardstick-bound", case, a=a)
         # The gain -integrate(successor(.)) is monotone on elements whose
         # integral is positive; without that restriction it is not.
         lo, hi = (a, b) if a <= b else (b, a)
         if integrate(lo) > GroupElem.ZERO:
             if -integrate(successor(lo)) > -integrate(successor(hi)):
-                fail("yardstick-monotone", case, a=lo, b=hi)
-        if len(failures) > 50:
-            break
-    return Report("couple-identities", seed, sample_size, tuple(failures))
+                report.fail("yardstick-monotone", case, a=lo, b=hi)
+    return report
 
 
 GRID_COEFFS = [
@@ -330,37 +339,32 @@ def conformance_grid() -> Report:
     {-2, -1, -1/2, 0, 1/2, 1, 2} is checked against direct re-derivations
     of psi, integrate, successor and chi written out locally.
     """
-    failures: list[dict] = []
-    cases = 0
-    for r0 in GRID_COEFFS:
-        for r1 in GRID_COEFFS:
-            for r2 in GRID_COEFFS:
-                cases += 1
-                g = GroupElem.from_list([r0, r1, r2])
-                dense = [r0, r1, r2, Fraction(0), Fraction(0)]
+    report = Report("conformance-grid", 0, len(GRID_COEFFS) ** 3, "op")
+    for r0, r1, r2 in product(GRID_COEFFS, repeat=3):
+        g = GroupElem.from_list([r0, r1, r2])
+        dense = [r0, r1, r2, Fraction(0), Fraction(0)]
+        nz = [i for i, c in enumerate(dense) if c]
+        if nz:
+            psi_ok = psi(g) == ones(nz[0] + 1)
+        else:
+            psi_ok = psi(g) is INFINITY
+        if not psi_ok:
+            report.fail("psi", g=g)
 
-                nz = [i for i, c in enumerate(dense) if c]
-                if nz:
-                    psi_ok = psi(g) == ones(nz[0] + 1)
-                else:
-                    psi_ok = psi(g) is INFINITY
-                if not psi_ok:
-                    failures.append({"op": "psi", "g": str(g)})
+        non1 = [i for i, c in enumerate(dense) if c != 1][0]
+        expected_int = GroupElem(
+            [(non1, dense[non1] - 1)] + [(i, dense[i]) for i in range(non1 + 1, 5)]
+        )
+        if integrate(g) != expected_int:
+            report.fail("integrate", g=g)
 
-                non1 = [i for i, c in enumerate(dense) if c != 1][0]
-                expected_int = GroupElem(
-                    [(non1, dense[non1] - 1)] + [(i, dense[i]) for i in range(non1 + 1, 5)]
-                )
-                if integrate(g) != expected_int:
-                    failures.append({"op": "integrate", "g": str(g)})
+        if successor(g) != ones(non1 + 1):
+            report.fail("successor", g=g)
 
-                if successor(g) != ones(non1 + 1):
-                    failures.append({"op": "successor", "g": str(g)})
-
-                expected_chi = GroupElem.ZERO if not nz else unit(nz[0] + 1).scale(-1)
-                if chi(g) != expected_chi:
-                    failures.append({"op": "chi", "g": str(g)})
-    return Report("conformance-grid", 0, cases, tuple(failures))
+        expected_chi = GroupElem.ZERO if not nz else unit(nz[0] + 1).scale(-1)
+        if chi(g) != expected_chi:
+            report.fail("chi", g=g)
+    return report
 
 
 def classify_couple(desc: Union[str, CoupleDescriptor], seed: int = 7) -> TrichotomyResult:

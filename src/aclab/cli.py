@@ -29,6 +29,10 @@ from .logts import Frac, Monomial, Series, check_axioms, dominance, ell
 from .ogroup import GroupElem, vector_json
 
 DEFAULT_SEED = 17
+# Expression bounds: parse recurses 4 frames per nesting level, evaluate 1 per
+# operator of a chain, so both stay far below the default recursion limit.
+MAX_DEPTH = 50
+MAX_TOKENS = 400
 
 
 class ExprSyntaxError(ValueError):
@@ -178,7 +182,10 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
+        if len(self.tokens) > MAX_TOKENS + 1:
+            raise ExprSyntaxError(f"more than {MAX_TOKENS} tokens", self.tokens[MAX_TOKENS].pos)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -223,6 +230,16 @@ class _Parser:
             node = Pow(node, self.exponent())
         return node
 
+    def nested(self) -> Ast:
+        tok = self.take("(")
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", tok.pos)
+        inner = self.expr()
+        self.take(")")
+        self.depth -= 1
+        return inner
+
     def exponent(self) -> Fraction:
         # A bare exponent is a possibly signed integer; anything with a
         # denominator needs parentheses, else it would swallow a division.
@@ -262,10 +279,7 @@ class _Parser:
             if tok.text == "x":
                 return Gen(0)
             if tok.text == "D":
-                self.take("(")
-                inner = self.expr()
-                self.take(")")
-                return Der(inner)
+                return Der(self.nested())
             if tok.text.startswith("l") and tok.text[1:].isdigit():
                 index = int(tok.text[1:])
                 if index < 1:
@@ -273,10 +287,7 @@ class _Parser:
                 return Gen(index)
             raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.pos)
         if tok.kind == "(":
-            self.take("(")
-            inner = self.expr()
-            self.take(")")
-            return inner
+            return self.nested()
         raise ExprSyntaxError("expected a value", tok.pos)
 
 

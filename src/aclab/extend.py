@@ -356,21 +356,17 @@ def verify_downward_no_max(sc: ExtScenario, probes: int, seed: int = 23) -> Repo
         raise ValueError("probes must be at least 1")
     rng = random.Random(seed)
     values = ExtS(sc.kind)
-    failures: list[dict] = []
-
-    def fail(check: str, case: int, **data: object) -> None:
-        failures.append({"check": check, "case": case, **{k: str(v) for k, v in data.items()}})
-
+    report = Report(f"extension-structure[{sc.kind}]", seed, probes, "check")
     big = sc.kind == BIG_INT
-    for case in range(probes):
+    for case in report.each(probes):
         gamma = values.sample(rng)
         try:
             w = construct_witness(sc, gamma)
         except ValueError as exc:
-            fail("witness", case, gamma=gamma, error=exc)
+            report.fail("witness", case, gamma=gamma, error=exc)
             continue
         if w.gamma != gamma:
-            fail("witness-value", case, gamma=gamma, got=w.gamma)
+            report.fail("witness-value", case, gamma=gamma, got=w.gamma)
             continue
 
         # Downward probes within the ambient derivative half.
@@ -379,15 +375,15 @@ def verify_downward_no_max(sc: ExtScenario, probes: int, seed: int = 23) -> Repo
             if not in_half:
                 continue
             if not member(sc, delta):
-                fail("downward-closed", case, gamma=gamma, delta=delta)
+                report.fail("downward-closed", case, gamma=gamma, delta=delta)
                 continue
             try:
                 wd = construct_witness(sc, delta)
             except ValueError as exc:
-                fail("downward-witness", case, delta=delta, error=exc)
+                report.fail("downward-witness", case, delta=delta, error=exc)
                 continue
             if wd.gamma != delta:
-                fail("downward-witness-value", case, delta=delta, got=wd.gamma)
+                report.fail("downward-witness-value", case, delta=delta, got=wd.gamma)
 
         # No maximum: one verified step upward.
         if big and not gamma > sc.s_valuation():
@@ -395,11 +391,11 @@ def verify_downward_no_max(sc: ExtScenario, probes: int, seed: int = 23) -> Repo
         try:
             up = yardstick_step(sc, w)
         except ValueError as exc:
-            fail("step", case, gamma=gamma, error=exc)
+            report.fail("step", case, gamma=gamma, error=exc)
             continue
         if not up.gamma > gamma:
-            fail("no-max", case, gamma=gamma, got=up.gamma)
-    return Report(f"extension-structure[{sc.kind}]", seed, probes, tuple(failures))
+            report.fail("no-max", case, gamma=gamma, got=up.gamma)
+    return report
 
 
 def _downward_probes(gamma: GroupElem, rng: random.Random) -> list[GroupElem]:

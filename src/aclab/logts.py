@@ -623,50 +623,46 @@ def check_axioms(sample_size: int, seed: int) -> Report:
     if sample_size < 1:
         raise ValueError("sample_size must be at least 1")
     rng = random.Random(seed)
-    failures: list[dict] = []
-
-    def fail(name: str, case: int, **data: object) -> None:
-        failures.append({"axiom": name, "case": case, **{k: str(v) for k, v in data.items()}})
-
+    report = Report("field-axioms", seed, sample_size, "axiom")
     zero_g = GroupElem.ZERO
-    for case in range(sample_size):
+    for case in report.each(sample_size):
         f = random_frac(rng, allow_zero=True)
         g = random_frac(rng, allow_zero=True)
         h = random_frac(rng)
 
         # Field and derivation algebra.
         if (f + g) * h != f * h + g * h:
-            fail("distributivity", case, f=f, g=g, h=h)
+            report.fail("distributivity", case, f=f, g=g, h=h)
         if ((f * g) * h) != (f * (g * h)):
-            fail("mul-associativity", case, f=f, g=g, h=h)
+            report.fail("mul-associativity", case, f=f, g=g, h=h)
         if (f * g).derivative() != f.derivative() * g + f * g.derivative():
-            fail("leibniz", case, f=f, g=g)
+            report.fail("leibniz", case, f=f, g=g)
         if (f + g).derivative() != f.derivative() + g.derivative():
-            fail("additivity", case, f=f, g=g)
+            report.fail("additivity", case, f=f, g=g)
         if not h.is_zero():
             q = f / h
             if q * h != f:
-                fail("division", case, f=f, h=h)
+                report.fail("division", case, f=f, h=h)
 
         # Valuation axioms.
         vf, vg = f.valuation(), g.valuation()
         prod_v = (f * g).valuation()
         if vf is INFINITY or vg is INFINITY:
             if prod_v is not INFINITY:
-                fail("v-multiplicative-zero", case, f=f, g=g)
+                report.fail("v-multiplicative-zero", case, f=f, g=g)
         elif prod_v != vf + vg:
-            fail("v-multiplicative", case, f=f, g=g)
+            report.fail("v-multiplicative", case, f=f, g=g)
         sum_v = (f + g).valuation()
         if not min(vf, vg) <= sum_v:
-            fail("v-ultrametric", case, f=f, g=g)
+            report.fail("v-ultrametric", case, f=f, g=g)
         if vf is not INFINITY and vg is not INFINITY and vf != vg and sum_v != min(vf, vg):
-            fail("v-ultrametric-strict", case, f=f, g=g)
+            report.fail("v-ultrametric-strict", case, f=f, g=g)
 
         # Compatibility of psi with logarithmic derivatives away from
         # valuation zero.
         if not f.is_zero() and vf is not INFINITY and vf != zero_g:
             if psi(vf) != logderiv(f).valuation():
-                fail("psi-compat", case, f=f)
+                report.fail("psi-compat", case, f=f)
 
         # Asymptotic biconditional on small nonzero elements.
         small_f = _make_small(f)
@@ -675,7 +671,7 @@ def check_axioms(sample_size: int, seed: int) -> Report:
             lhs = dominance(small_f, small_g) is Dominance.STRICTLY_DOMINATED
             rhs = dominance(small_f.derivative(), small_g.derivative()) is Dominance.STRICTLY_DOMINATED
             if lhs != rhs:
-                fail("asymptotic", case, f=small_f, g=small_g)
+                report.fail("asymptotic", case, f=small_f, g=small_g)
 
         # Pre-d-valued bound: bounded f, small nonzero g.
         if small_g is not None:
@@ -684,20 +680,20 @@ def check_axioms(sample_size: int, seed: int) -> Report:
                 dv = bounded.derivative().valuation()
                 gv = logderiv(small_g).valuation()
                 if not dv > gv:
-                    fail("pre-d-valued", case, f=bounded, g=small_g)
+                    report.fail("pre-d-valued", case, f=bounded, g=small_g)
 
         # d-valued residue condition on units.
         if not f.is_zero() and f.valuation() == zero_g:
             c = Frac.from_rat(residue(f))
             if not similar(f, c):
-                fail("residue-similar", case, f=f)
+                report.fail("residue-similar", case, f=f)
 
         # Convexity of the valuation ring.
         if not f.is_zero() and not g.is_zero():
             af, ag = _abs(f), _abs(g)
             lo, hi = (af, ag) if af < ag else (ag, af)
             if hi.valuation() >= zero_g and not lo.valuation() >= zero_g:
-                fail("convexity", case, f=f, g=g)
+                report.fail("convexity", case, f=f, g=g)
 
         # Derivatives above the valuation ring are positive.
         if not f.is_zero():
@@ -705,10 +701,8 @@ def check_axioms(sample_size: int, seed: int) -> Report:
             if big is not None:
                 big = big if big.sign() > 0 else -big
                 if big.derivative().sign() <= 0:
-                    fail("positive-derivative", case, f=big)
-        if len(failures) > 50:
-            break
-    return Report("field-axioms", seed, sample_size, tuple(failures))
+                    report.fail("positive-derivative", case, f=big)
+    return report
 
 
 def _abs(f: Frac) -> Frac:

@@ -383,25 +383,28 @@ class ExtElem:
     def is_zero(self) -> bool:
         return self.dq == 0 and self.base.is_zero()
 
+    def _lead(self) -> tuple[int, Fraction]:
+        """The first index with nonzero padded entry and that entry, 0 only at zero."""
+        i = 0
+        for index, c in self.base.items:
+            if self.dq and index > i:
+                return i, self.dq
+            entry = c + self.dq
+            if entry:
+                return index, entry
+            i = index + 1
+        return i, self.dq
+
     def first_index(self) -> int:
         """First index with nonzero padded entry; error on the zero element."""
-        for i in range(self.base.max_index() + 1):
-            if self.padded(i):
-                return i
-        if self.dq:
-            return self.base.max_index() + 1
-        raise ValueError("the zero element has no leading index")
+        i, entry = self._lead()
+        if not entry:
+            raise ValueError("the zero element has no leading index")
+        return i
 
     def sign(self) -> int:
-        for i in range(self.base.max_index() + 1):
-            entry = self.padded(i)
-            if entry:
-                return 1 if entry > 0 else -1
-        if self.dq > 0:
-            return 1
-        if self.dq < 0:
-            return -1
-        return 0
+        entry = self._lead()[1]
+        return (entry > 0) - (entry < 0)
 
     def __add__(self, other: object) -> "ExtElem":
         if isinstance(other, ExtElem):

@@ -387,49 +387,41 @@ def shipped_pairs() -> list[tuple[str, PCSeq, Frac]]:
 def kaplansky_suite(max_degree: int = 3) -> Report:
     """Every nonconstant family member up to the degree bound, applied to
     every shipped pair."""
-    failures: list[dict] = []
-    case = 0
-    for name, seq, limit in shipped_pairs():
-        for rfunc in R_FAMILY:
-            if rfunc.degree() > max_degree or rfunc.is_constant():
-                continue
-            case += 1
+    family = [r for r in R_FAMILY if r.degree() <= max_degree and not r.is_constant()]
+    pairs = shipped_pairs()
+    report = Report("kaplansky", 0, len(pairs) * len(family), "pair")
+    for name, seq, limit in pairs:
+        for rfunc in family:
             verdict = kaplansky_check(seq, limit, rfunc)
             if verdict.status != YES:
-                failures.append({"pair": name, "rfunc": rfunc.label(),
-                                 **{k: str(v) for k, v in verdict.to_dict().items()}})
-    return Report("kaplansky", 0, case, tuple(failures))
+                report.fail(name, rfunc=rfunc.label(), **verdict.to_dict())
+    return report
 
 
 def lambda_suite(prefix_len: int = 12, corpus_size: int = 1000, seed: int = 31) -> Report:
     """The lambda prefix is pseudocauchy from 0 with widths ones(n+2), the
     perturbed variant is equivalent, no corpus element is a pseudolimit,
     and every corpus element gets a parting witness within the prefix."""
-    failures: list[dict] = []
-
-    def fail(check: str, case: int, **data: object) -> None:
-        failures.append({"check": check, "case": case,
-                         **{k: str(v) for k, v in data.items()}})
-
+    report = Report("lambda", seed, corpus_size + prefix_len + 2, "check")
     lam = lambda_seq(prefix_len)
     pc = is_pc_prefix(lam)
     if pc.status != YES or pc.index != 0:
-        fail("lambda-pc", 0, verdict=pc.to_dict())
+        report.fail("lambda-pc", 0, verdict=pc.to_dict())
     widths = width_prefix(lam)
     for n, w in enumerate(widths):
         if w != ones(n + 2):
-            fail("lambda-width", n, got=w, expect=ones(n + 2))
+            report.fail("lambda-width", n, got=w, expect=ones(n + 2))
     eq = equivalent_prefix(lam, perturbed_lambda_seq(prefix_len))
     if eq.status != YES:
-        fail("lambda-equivalent", 0, verdict=eq.to_dict())
+        report.fail("lambda-equivalent", 0, verdict=eq.to_dict())
 
     rng = random.Random(seed)
-    for case in range(corpus_size):
+    for case in report.each(corpus_size):
         s = random_frac(rng)
         pl = pseudolimit_check(lam, s)
         if pl.status == YES:
-            fail("corpus-pseudolimit", case, element=s)
+            report.fail("corpus-pseudolimit", case, element=s)
         w = lambda_free_witness(s, prefix_len)
         if w is None or w > prefix_len:
-            fail("corpus-witness", case, element=s, witness=w)
-    return Report("lambda", seed, corpus_size + prefix_len + 2, tuple(failures))
+            report.fail("corpus-witness", case, element=s, witness=w)
+    return report

@@ -657,21 +657,18 @@ def jammedness_suite(seed: int, beta_count: int = 20, invariance_count: int = 50
     """Rule-layer verdicts plus invariance under affine maps and downward
     closure, plus the shipped not-jammed example with a verified witness."""
     rng = random.Random(seed)
-    failures: list[dict] = []
-
-    def fail(check: str, case: int, **data: object) -> None:
-        failures.append({"check": check, "case": case, **{k: str(v) for k, v in data.items()}})
-
+    cases = 1 + beta_count + invariance_count + (1 if fails_descriptor is not None else 0)
+    report = Report("jammedness", seed, cases, "check")
     v = is_jammed(PSI_DOWN)
     if v.verdict != HOLDS or not recheck_jammed(PSI_DOWN, v):
-        fail("psidown-holds", 0, verdict=v.verdict)
+        report.fail("psidown-holds", 0, verdict=v.verdict)
 
-    for case in range(beta_count):
+    for case in report.each(beta_count):
         beta = sample_elem(rng, max_index=8, max_support=4, allow_zero=True)
         d = LessThan(beta)
         vb = is_jammed(d)
         if vb.verdict != HOLDS or not recheck_jammed(d, vb):
-            fail("lessthan-holds", case, beta=beta, verdict=vb.verdict)
+            report.fail("lessthan-holds", case, beta=beta, verdict=vb.verdict)
 
     base_pool: list[SetDescriptor] = [
         PSI_DOWN,
@@ -681,25 +678,23 @@ def jammedness_suite(seed: int, beta_count: int = 20, invariance_count: int = 50
     ]
     if fails_descriptor is not None:
         base_pool.append(fails_descriptor)
-    for case in range(invariance_count):
+    for case in report.each(invariance_count):
         d = rng.choice(base_pool)
         alpha = sample_elem(rng, max_index=6, max_support=3, allow_zero=True)
         n = rng.randint(1, 5)
         before = is_jammed(d).verdict
         if is_jammed(Affine(alpha, n, d)).verdict != before:
-            fail("affine-invariance", case, descriptor=describe(d), alpha=alpha, n=n)
+            report.fail("affine-invariance", case, descriptor=describe(d), alpha=alpha, n=n)
         if is_jammed(DownClosure(d)).verdict != before:
-            fail("downclosure-invariance", case, descriptor=describe(d))
+            report.fail("downclosure-invariance", case, descriptor=describe(d))
 
     if fails_descriptor is not None:
         vf = is_jammed(fails_descriptor)
         if vf.verdict != FAILS:
-            fail("shipped-fails", 0, descriptor=describe(fails_descriptor), verdict=vf.verdict)
+            report.fail("shipped-fails", 0, descriptor=describe(fails_descriptor), verdict=vf.verdict)
         elif not recheck_jammed(fails_descriptor, vf):
-            fail("shipped-fails-witness", 0, descriptor=describe(fails_descriptor))
-
-    cases = 1 + beta_count + invariance_count + (1 if fails_descriptor is not None else 0)
-    return Report("jammedness", seed, cases, tuple(failures))
+            report.fail("shipped-fails-witness", 0, descriptor=describe(fails_descriptor))
+    return report
 
 
 def exclusion_suite(descriptors: list[tuple[str, SetDescriptor]], probes: int, seed: int) -> Report:
@@ -707,7 +702,7 @@ def exclusion_suite(descriptors: list[tuple[str, SetDescriptor]], probes: int, s
     to agree with the negative cone on probes; any Holds-yardstick set that
     differs from the negative cone must not be jammed."""
     rng = random.Random(seed)
-    failures: list[dict] = []
+    report = Report("yardstick-jammed-exclusion", seed, probes * max(1, len(descriptors)), "check")
     fails_seen = 0
 
     for name, desc in descriptors:
@@ -726,11 +721,9 @@ def exclusion_suite(descriptors: list[tuple[str, SetDescriptor]], probes: int, s
         if j.verdict == HOLDS and differs is not None:
             # One probe violating the negative-cone agreement refutes both
             # clauses of the exclusion at once.
-            failures.append({"check": "holds-holds-must-be-negative-cone",
-                             "descriptor": name, "probe": str(differs)})
+            report.fail("holds-holds-must-be-negative-cone", descriptor=name, probe=differs)
         if differs is not None and j.verdict == FAILS:
             fails_seen += 1
     if fails_seen == 0:
-        failures.append({"check": "at-least-one-fails", "got": "none"})
-    return Report("yardstick-jammed-exclusion", seed, probes * max(1, len(descriptors)),
-                  tuple(failures))
+        report.fail("at-least-one-fails", got="none")
+    return report

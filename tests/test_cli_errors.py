@@ -75,3 +75,28 @@ def test_failed_certificate_is_a_json_error(capsys, monkeypatch):
     assert json.loads(captured.out) == {
         "error": "gap certificate failed: delta not below a derivative"}
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("expr, needle", [
+    ("(" * 300 + "x" + ")" * 300, "more than 400 tokens"),
+    ("(" * 2000 + "x" + ")" * 2000, "more than 400 tokens"),
+    ("+".join(["x"] * 3000), "more than 400 tokens"),
+    ("D(" * 400 + "x" + ")" * 400, "more than 400 tokens"),
+    ("(" * 51 + "x" + ")" * 51, "nested deeper than 50"),
+], ids=["300-parentheses", "2000-parentheses", "3000-terms", "400-derivatives", "51-parentheses"])
+def test_deep_or_long_expression_is_a_json_syntax_error(capsys, monkeypatch, expr, needle):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    code = main(["val", "--", expr])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.count("\n") == 1
+    assert needle in json.loads(captured.out)["error"]
+    assert captured.err == ""
+
+
+def test_expression_at_the_bounds_is_evaluated(capsys, monkeypatch):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    assert main(["val", "--", "(" * 50 + "x" + ")" * 50]) == 0
+    assert main(["val", "--", "+".join(["x"] * 200)]) == 0
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == [
+        {"valuation": [-1]}, {"valuation": [-1]}]

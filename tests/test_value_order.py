@@ -68,6 +68,15 @@ def test_mixed_order_agrees_with_padded_sequences(a, e):
         r = reference_padded_cmp(x, y)
         assert (x < y, x <= y, x > y, x >= y) == (r < 0, r <= 0, r > 0, r >= 0)
         assert (x == y) == (r == 0)
+    entries = [e.padded(i) for i in range(e.base.max_index() + 2)]
+    lead = next((i for i, c in enumerate(entries) if c), None)
+    if lead is None:
+        assert e.sign() == 0
+        with pytest.raises(ValueError):
+            e.first_index()
+    else:
+        assert e.first_index() == lead
+        assert e.sign() == (1 if entries[lead] > 0 else -1)
 
 
 def test_mixed_order_examples():
