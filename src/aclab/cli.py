@@ -452,7 +452,9 @@ def _sexpr_vector(tokens: list[str]) -> tuple[GroupElem, list[str]]:
     text = " ".join(tokens)
     if not text.startswith("["):
         raise ExprSemanticError("expected a bracketed vector")
-    end = text.index("]")
+    end = text.find("]")
+    if end < 0:
+        raise ExprSemanticError("unclosed '[' in descriptor vector")
     vec = GroupElem.parse(text[:end + 1])
     rest = text[end + 1:].split()
     return vec, rest
@@ -621,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        p.add_argument("--seed", type=int, default=default_seed)
 
     p = sub.add_parser("val", help="valuation of an expression")
     p.add_argument("expr")
@@ -651,6 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("couple", help="logfull, loggap, or trunc:N")
     p.add_argument("--lambda-free", choices=["yes", "no", "unknown"], default=None)
     common(p)
+    p.add_argument("--seed", type=int, default=default_seed)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("suite", help="run a verification suite")
@@ -658,6 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=None)
     p.add_argument("--len", type=int, default=12, help="prefix length where applicable")
     common(p)
+    p.add_argument("--seed", type=int, default=default_seed)
     p.set_defaults(fn=_cmd_suite)
 
     p = sub.add_parser("extend", help="extension scenario operations")

@@ -37,20 +37,11 @@ from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, as_rat, ones, unit
 INTERN_CAP = 1024
 PRODUCT_CAP = 4 * INTERN_CAP
 
-# Keyed by _int_key(g), which also serves the structural equality fallback.
-_interned: dict[tuple[int, ...], "Monomial"] = {}
+# Keyed by GroupElem.key, which also serves the structural equality fallback.
+_interned: dict[tuple[tuple[int, int, int], ...], "Monomial"] = {}
 # (id(a), id(b)) -> (a, b, a * b).  Holding the factors keeps both ids from
 # being reused by other objects while the entry exists.
 _products: dict[tuple[int, int], tuple["Monomial", "Monomial", "Monomial"]] = {}
-
-
-def _int_key(exponents: GroupElem) -> tuple[int, ...]:
-    """The exponent vector as flat integers (index, numerator, denominator,
-    ...), which compare in C where the Fractions of a GroupElem do not."""
-    key: list[int] = []
-    for i, c in exponents.items:
-        key += (i, c.numerator, c.denominator)
-    return tuple(key)
 
 
 def _clear_tables() -> None:
@@ -61,19 +52,18 @@ def _clear_tables() -> None:
 class Monomial:
     """A single product of generator powers, keyed by its exponent vector."""
 
-    __slots__ = ("exponents", "_key", "_hash", "_derivative")
+    __slots__ = ("exponents", "_hash", "_derivative")
 
     ONE: "Monomial"
 
     def __new__(cls, exponents: GroupElem = GroupElem.ZERO) -> "Monomial":
-        key = _int_key(exponents)
+        key = exponents.key
         mono = _interned.get(key)
         if mono is None:
             if len(_interned) >= INTERN_CAP:
                 _clear_tables()
             mono = object.__new__(cls)
             object.__setattr__(mono, "exponents", exponents)
-            object.__setattr__(mono, "_key", key)
             object.__setattr__(mono, "_hash", hash(("mono", exponents)))
             object.__setattr__(mono, "_derivative", None)
             _interned[key] = mono
@@ -107,7 +97,7 @@ class Monomial:
             return True
         if not isinstance(other, Monomial):
             return NotImplemented
-        return self._key == other._key
+        return self.exponents.key == other.exponents.key
 
     def __hash__(self) -> int:
         return self._hash

@@ -48,7 +48,7 @@ class GroupElem:
     NotImplemented, so the other operand's operator decides.
     """
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_items", "_key")
 
     ZERO: "GroupElem"
 
@@ -66,7 +66,7 @@ class GroupElem:
                 cleaned[index] = cleaned.get(index, Fraction(0)) + value
         items = tuple(sorted((i, c) for i, c in cleaned.items() if c))
         object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_key", None)
 
     @classmethod
     def from_list(cls, dense: Iterable[RatLike]) -> "GroupElem":
@@ -208,14 +208,18 @@ class GroupElem:
             return self._items == other._items
         return NotImplemented
 
+    @property
+    def key(self) -> tuple[tuple[int, int, int], ...]:
+        """The items as (index, numerator, denominator) integer triples,
+        which hash and compare in C where Fractions do not."""
+        key = self._key
+        if key is None:
+            key = tuple((i, c.numerator, c.denominator) for i, c in self._items)
+            object.__setattr__(self, "_key", key)
+        return key
+
     def __hash__(self) -> int:
-        # Hash over integer triples: Fraction.__hash__ is slow enough to
-        # dominate profiles when vectors are used as dictionary keys.
-        h = self._hash
-        if h is None:
-            h = hash(tuple((i, c.numerator, c.denominator) for i, c in self._items))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.key)
 
     def __lt__(self, other: "GroupElem") -> bool:
         if isinstance(other, GroupElem):
@@ -292,7 +296,7 @@ def _from_items(items: tuple[tuple[int, Fraction], ...]) -> GroupElem:
     """Internal constructor for already sorted, duplicate-free, zero-free items."""
     out = GroupElem.__new__(GroupElem)
     object.__setattr__(out, "_items", items)
-    object.__setattr__(out, "_hash", None)
+    object.__setattr__(out, "_key", None)
     return out
 
 

@@ -221,8 +221,8 @@ class TestCommands:
 
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("ACLAB_SEED", "99")
-        args = build_parser().parse_args(["val", "x"])
+        args = build_parser().parse_args(["suite", "couple"])
         assert args.seed == 99
         monkeypatch.delenv("ACLAB_SEED")
-        args = build_parser().parse_args(["val", "x"])
+        args = build_parser().parse_args(["suite", "couple"])
         assert args.seed == 17

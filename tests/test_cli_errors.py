@@ -29,6 +29,8 @@ def test_json_flag_is_gone(monkeypatch):
     (["extend", "step"], "--kind"),
     (["suite", "couple", "--bogus"], "unrecognized arguments: --bogus"),
     (["lambda", "1", "-y"], "unrecognized arguments: -y"),
+    (["val", "x", "--seed", "3"], "unrecognized arguments: --seed"),
+    (["set", "(less [1", "half"], "unclosed '['"),
 ])
 def test_usage_errors_are_json(capsys, monkeypatch, argv, needle):
     monkeypatch.delenv("ACLAB_SEED", raising=False)

@@ -8,7 +8,8 @@ an intended output change, run ``PYTHONPATH=src python tests/test_golden.py``.
 Left out on purpose: ``suite kaplansky`` (slow here; every verdict and
 witness behind it is pinned by ``test_kaplansky_pin.py``) and the
 ``jammed`` query on descriptors built over
-``(int psidown)``, whose current ``fails`` verdict is known to be wrong.
+``(int psidown)``.  That set is the negative cone, so jammed, but no
+structural rule decides it yet; its ``unknown`` is a gap, not an answer.
 """
 
 from __future__ import annotations

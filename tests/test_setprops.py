@@ -18,6 +18,7 @@ from aclab.setprops import (
     IntImage,
     LessEq,
     LessThan,
+    PropertyVerdict,
     UnsupportedDescriptor,
     describe,
     exclusion_suite,
@@ -158,6 +159,24 @@ class TestJammedness:
         assert verdict.witness["level"] == 2
         assert recheck_jammed(desc, verdict)
 
+    @pytest.mark.parametrize("desc", [
+        IntImage(PSI_DOWN),
+        DownClosure(IntImage(PSI_DOWN)),
+        IntImage(LessThan(GroupElem.ZERO)),
+        Affine(unit(0), 2, IntImage(LessThan(GroupElem.ZERO))),
+    ], ids=describe)
+    def test_sampled_escapes_do_not_refute(self, desc):
+        # Each is a principal downset or an affine image of one, so jammed;
+        # no structural rule says so yet, and sampled escapes must not say Fails.
+        assert is_jammed(desc).verdict != FAILS
+
+    def test_recheck_uses_the_stated_bump(self):
+        desc = IntImage(s_descriptor(example(SMALL_INT)))
+        verdict = is_jammed(desc)
+        # g + e_2 stays in g + Delta_2, so this bump escapes from no member.
+        forged = PropertyVerdict(FAILS, verdict.rule, {**verdict.witness, "bump": [0, 0, 1]})
+        assert not recheck_jammed(desc, forged)
+
     def test_suite_holds(self):
         report = jammedness_suite(seed=3, beta_count=6, invariance_count=10)
         assert report.ok
@@ -182,6 +201,12 @@ class TestYardstick:
         assert (verdict.verdict, verdict.rule) == (FAILS, "cofinal-escape")
         assert verdict.witness["witness"] == [1, 1, "-1/2"]
         assert recheck_yardstick(PSI_DOWN, verdict)
+
+    def test_sampled_escapes_off_a_downset_give_unknown(self):
+        # (int (less [])) is (less [-1]), which fails by cofinal-escape once
+        # rewritten; here its escapes are only sampled, so they decide nothing.
+        verdict = has_yardstick(IntImage(LessThan(GroupElem.ZERO)))
+        assert verdict.verdict == UNKNOWN
 
     def test_scenario_handles_hold(self):
         for kind in (SMALL_INT, SMALL_EXP_INT, BIG_INT):
