@@ -110,6 +110,8 @@ class Report:
 
     def each(self, count: int) -> Iterator[int]:
         """Cases 0..count-1, stopping after one that leaves over FAILURE_CAP failures."""
+        if count < 1:
+            raise ValueError(f"suite {self.suite} needs at least 1 case, got {count}")
         for case in range(count):
             yield case
             if len(self.failures) > FAILURE_CAP:
@@ -226,8 +228,6 @@ def verify_couple_axioms(
     AC3: a > 0 implies a + psi(a) > psi(b) for nonzero b
     HC:  0 < a <= b implies psi(a) >= psi(b)
     """
-    if sample_size < 1:
-        raise ValueError("sample_size must be at least 1")
     desc = CoupleDescriptor.parse(couple) if isinstance(couple, str) else couple
     rng = random.Random(seed)
     report = Report(f"couple-axioms[{desc}]", seed, sample_size, "axiom")
@@ -266,8 +266,6 @@ def identity_suite(sample_size: int, seed: int) -> Report:
     n in {1, 2, 3}, the yardstick telescope, and the integral yardstick
     bound with its monotonicity.
     """
-    if sample_size < 1:
-        raise ValueError("sample_size must be at least 1")
     rng = random.Random(seed)
     report = Report("couple-identities", seed, sample_size, "identity")
     for case in report.each(sample_size):

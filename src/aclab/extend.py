@@ -352,8 +352,6 @@ def verify_downward_no_max(sc: ExtScenario, probes: int, seed: int = 23) -> Repo
     """Sampled members get exact witnesses; every probed smaller value in
     the right derivative half gets one too (downward closure within the
     half), and the step produces a strictly larger member (no maximum)."""
-    if probes < 1:
-        raise ValueError("probes must be at least 1")
     rng = random.Random(seed)
     values = ExtS(sc.kind)
     report = Report(f"extension-structure[{sc.kind}]", seed, probes, "check")

@@ -26,8 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-Rat = Fraction
-
 RatLike = Union[int, str, Fraction]
 
 
@@ -82,7 +80,10 @@ class GroupElem:
         inner = body[1:-1].strip()
         if not inner:
             return cls.ZERO
-        return cls.from_list(Fraction(part.strip()) for part in inner.split(","))
+        try:
+            return cls.from_list(Fraction(part.strip()) for part in inner.split(","))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in vector {text!r}") from None
 
     @property
     def items(self) -> tuple[tuple[int, Fraction], ...]:
@@ -126,32 +127,11 @@ class GroupElem:
     def __add__(self, other: "GroupElem") -> "GroupElem":
         if not isinstance(other, GroupElem):
             return NotImplemented
-        ia, ib = self._items, other._items
-        if not ia:
+        if not self._items:
             return other
-        if not ib:
+        if not other._items:
             return self
-        out: list[tuple[int, Fraction]] = []
-        pa = pb = 0
-        na, nb = len(ia), len(ib)
-        while pa < na and pb < nb:
-            a_i, a_c = ia[pa]
-            b_i, b_c = ib[pb]
-            if a_i < b_i:
-                out.append(ia[pa])
-                pa += 1
-            elif b_i < a_i:
-                out.append(ib[pb])
-                pb += 1
-            else:
-                s = a_c + b_c
-                if s:
-                    out.append((a_i, s))
-                pa += 1
-                pb += 1
-        out.extend(ia[pa:])
-        out.extend(ib[pb:])
-        return _from_items(tuple(out))
+        return _merge(self._items, other._items, False)
 
     def __radd__(self, other: object) -> "GroupElem":
         if other == 0:
@@ -161,32 +141,9 @@ class GroupElem:
     def __sub__(self, other: "GroupElem") -> "GroupElem":
         if not isinstance(other, GroupElem):
             return NotImplemented
-        ia, ib = self._items, other._items
-        if not ib:
+        if not other._items:
             return self
-        out: list[tuple[int, Fraction]] = []
-        pa = pb = 0
-        na, nb = len(ia), len(ib)
-        while pa < na and pb < nb:
-            a_i, a_c = ia[pa]
-            b_i, b_c = ib[pb]
-            if a_i < b_i:
-                out.append(ia[pa])
-                pa += 1
-            elif b_i < a_i:
-                out.append((b_i, -b_c))
-                pb += 1
-            else:
-                s = a_c - b_c
-                if s:
-                    out.append((a_i, s))
-                pa += 1
-                pb += 1
-        out.extend(ia[pa:])
-        for i in range(pb, nb):
-            b_i, b_c = ib[i]
-            out.append((b_i, -b_c))
-        return _from_items(tuple(out))
+        return _merge(self._items, other._items, True)
 
     def __neg__(self) -> "GroupElem":
         return _from_items(tuple((i, -c) for i, c in self._items))
@@ -298,6 +255,32 @@ def _from_items(items: tuple[tuple[int, Fraction], ...]) -> GroupElem:
     object.__setattr__(out, "_items", items)
     object.__setattr__(out, "_key", None)
     return out
+
+
+def _merge(ia: tuple[tuple[int, Fraction], ...], ib: tuple[tuple[int, Fraction], ...],
+           negate: bool) -> GroupElem:
+    """``a + b``, or ``a - b`` when negate, from two sorted item tuples in one walk."""
+    out: list[tuple[int, Fraction]] = []
+    pa = pb = 0
+    na, nb = len(ia), len(ib)
+    while pa < na and pb < nb:
+        a_i, a_c = ia[pa]
+        b_i, b_c = ib[pb]
+        if a_i < b_i:
+            out.append(ia[pa])
+            pa += 1
+        elif b_i < a_i:
+            out.append((b_i, -b_c) if negate else ib[pb])
+            pb += 1
+        else:
+            s = a_c - b_c if negate else a_c + b_c
+            if s:
+                out.append((a_i, s))
+            pa += 1
+            pb += 1
+    out.extend(ia[pa:])
+    out.extend([(i, -c) for i, c in ib[pb:]] if negate else ib[pb:])
+    return _from_items(tuple(out))
 
 
 def unit(index: int) -> GroupElem:
@@ -474,25 +457,6 @@ class ExtElem:
 
     def __repr__(self) -> str:
         return f"ExtElem({self.base!r}, {self.dq})"
-
-    @classmethod
-    def parse(cls, text: str) -> "ExtElem":
-        """Parse ``[..] + q*delta``, bare ``delta``, or a plain vector."""
-        body = text.strip()
-        if body == "delta":
-            return DELTA
-        if "delta" not in body:
-            return cls(GroupElem.parse(body), 0)
-        head, _, tail = body.rpartition("+")
-        tail = tail.strip()
-        if not tail.endswith("delta"):
-            raise ValueError(f"malformed extension element {text!r}")
-        coeff_text = tail[: -len("delta")].rstrip()
-        if coeff_text.endswith("*"):
-            coeff_text = coeff_text[:-1].rstrip()
-        dq = Fraction(coeff_text) if coeff_text else Fraction(1)
-        base = GroupElem.parse(head) if head.strip() else GroupElem.ZERO
-        return cls(base, dq)
 
 
 DELTA = ExtElem(GroupElem.ZERO, 1)

@@ -340,11 +340,9 @@ def is_jammed(desc: SetDescriptor) -> PropertyVerdict:
         return PropertyVerdict(HOLDS, "psi-downset",
                                {"base_family": "ones(k)", "sample_bases": bases})
     if isinstance(desc, Affine):
-        inner = is_jammed(desc.inner)
-        return _transport_verdict(inner, desc, "affine-invariance")
+        return _transport_verdict(is_jammed(desc.inner), "affine-invariance")
     if isinstance(desc, DownClosure):
-        inner = is_jammed(desc.inner)
-        return _transport_verdict(inner, desc, "downclosure-invariance")
+        return _transport_verdict(is_jammed(desc.inner), "downclosure-invariance")
 
     cap = _coord0_capped(desc)
     if cap is not None:
@@ -368,9 +366,7 @@ def is_jammed(desc: SetDescriptor) -> PropertyVerdict:
                            {"reason": f"no structural rule decides jammedness of {describe(desc)}"})
 
 
-def _transport_verdict(inner: PropertyVerdict, desc: SetDescriptor, rule: str) -> PropertyVerdict:
-    if inner.verdict == UNKNOWN:
-        return inner
+def _transport_verdict(inner: PropertyVerdict, rule: str) -> PropertyVerdict:
     witness = {"inherited_from": inner.rule}
     if inner.witness:
         witness["inner_witness"] = inner.witness
@@ -656,7 +652,7 @@ def exclusion_suite(descriptors: list[tuple[str, SetDescriptor]], probes: int, s
         j = is_jammed(desc)
         down = desc if isinstance(desc, DownClosure) else DownClosure(desc)
         differs = None
-        for case in range(probes):
+        for _ in report.each(probes):
             g = sample_elem(rng, max_index=8, max_support=4, allow_zero=True)
             if member(down, g) != (g.sign() < 0):
                 differs = g

@@ -31,6 +31,11 @@ def test_json_flag_is_gone(monkeypatch):
     (["lambda", "1", "-y"], "unrecognized arguments: -y"),
     (["val", "x", "--seed", "3"], "unrecognized arguments: --seed"),
     (["set", "(less [1", "half"], "unclosed '['"),
+    (["set", "(less [1/0])", "half"], "zero denominator in vector"),
+    (["set", "psidown", "member [1/0]"], "zero denominator in vector"),
+    (["suite", "exclusion", "--cases", "-3"], "needs at least 1 case, got -3"),
+    (["suite", "lambda", "--cases", "-1"], "needs at least 1 case, got -1"),
+    (["suite", "couple", "--cases", "0"], "needs at least 1 case, got 0"),
 ])
 def test_usage_errors_are_json(capsys, monkeypatch, argv, needle):
     monkeypatch.delenv("ACLAB_SEED", raising=False)

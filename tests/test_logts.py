@@ -29,7 +29,7 @@ from aclab.logts import (
 )
 from aclab.ogroup import GroupElem, unit
 
-from strategies import fracs, monomials, nonzero_fracs
+from strategies import fracs, monomials, nonzero_fracs, series
 
 V = GroupElem.parse
 ONE = Frac.from_rat(1)
@@ -137,6 +137,57 @@ class TestFieldLaws:
     def test_division_by_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             x_elem() / Frac.from_rat(0)
+
+
+def _key_terms(s: Series) -> dict:
+    return {m.exponents.key: c for m, c in s.terms.items()}
+
+
+def _reference_sum(s: Series, t: Series) -> dict:
+    out = _key_terms(s)
+    for k, c in _key_terms(t).items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _reference_product(s: Series, t: Series) -> dict:
+    out: dict = {}
+    for ma, ca in s.terms.items():
+        for mb, cb in t.terms.items():
+            k = (ma.exponents + mb.exponents).key
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+class TestSparseSums:
+    @given(series(), series())
+    def test_sum_and_product_match_dict_reference(self, s, t):
+        assert _key_terms(s + t) == _reference_sum(s, t)
+        assert _key_terms(s * t) == _reference_product(s, t)
+
+    @given(series(), series(), monomials())
+    def test_results_store_no_zero(self, s, t, m):
+        built = Series(list(s.terms.items()) + [(m, 0)] + list(t.terms.items()))
+        for r in (built, s + t, s - t, s * t, (s + t) * (s - t), s.derivative()):
+            assert 0 not in r.terms.values()
+
+    @given(series(), monomials())
+    def test_explicit_cancellations_leave_no_terms(self, s, m):
+        assert (s + (-s)).terms == {}
+        assert Series([(m, 1), (m, -1)]).terms == {}
+
+    def test_derivative_cancellation_leaves_no_term(self):
+        # (x*l1 - x)' = (l1 + 1) - 1: the two constant terms cancel.
+        s = Series([(Monomial(V("[1, 1]")), 1), (Monomial(V("[1]")), -1)])
+        assert s.derivative().terms == {Monomial(V("[0, 1]")): 1}
+
+    @given(series(), series())
+    def test_cross_terms_cancel(self, a, b):
+        assert (a + b) * (a - b) == a * a - b * b
+
+    def test_cross_terms_cancel_to_two_terms(self):
+        a, b = Series.monomial(Monomial(V("[1]"))), Series.monomial(Monomial(V("[0, 1]")), 3)
+        assert (a + b) * (a - b) == Series([(Monomial(V("[2]")), 1), (Monomial(V("[0, 2]")), -9)])
 
 
 class TestResidueAndConstants:

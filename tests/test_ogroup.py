@@ -83,6 +83,34 @@ class TestLexOrder:
         assert arch_cmp(a, b) == expected
 
 
+def _dense_reference(a: GroupElem, b: GroupElem, sign: int) -> GroupElem:
+    """a + sign*b, coordinate by coordinate on dense lists."""
+    da, db = a.to_list(), b.to_list()
+    n = max(len(da), len(db))
+    da += [Fraction(0)] * (n - len(da))
+    db += [Fraction(0)] * (n - len(db))
+    return GroupElem.from_list(x + sign * y for x, y in zip(da, db))
+
+
+class TestSparseSums:
+    @given(group_elems(), group_elems())
+    def test_add_and_sub_match_dense_reference(self, a, b):
+        assert a + b == _dense_reference(a, b, 1)
+        assert a - b == _dense_reference(a, b, -1)
+
+    @given(group_elems(), group_elems())
+    def test_results_store_no_zero(self, a, b):
+        for r in (a + b, a - b, a - a, b - a):
+            assert all(c for _, c in r.items)
+            assert list(r.support) == sorted(set(r.support))
+
+    def test_shared_index_cancels(self):
+        a = GroupElem([(0, 1), (2, Fraction(1, 2))])
+        assert (a - a).items == ()
+        assert (a + -a).items == ()
+        assert (a + GroupElem([(2, Fraction(-1, 2)), (3, 1)])).items == ((0, 1), (3, 1))
+
+
 class TestParseFormat:
     @given(group_elems())
     def test_round_trip(self, a):
@@ -98,7 +126,6 @@ class TestParseFormat:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             GroupElem.parse("2, 3")
-
     def test_constructor_merges_and_drops(self):
         g = GroupElem([(1, Fraction(1, 2)), (1, Fraction(1, 2)), (3, 1), (3, -1)])
         assert g == unit(1)
@@ -170,11 +197,3 @@ class TestDeltaExtension:
         assert e.padded(1) == Fraction(5, 6)
         assert e.padded(7) == Fraction(1, 3)
 
-    @given(ext_elems())
-    def test_parse_round_trip(self, a):
-        assert ExtElem.parse(str(a)) == a
-
-    def test_parse_forms(self):
-        assert ExtElem.parse("delta") == DELTA
-        assert ExtElem.parse("[1, 2] + -1*delta") == ExtElem(unit(0) + unit(1).scale(2), -1)
-        assert ExtElem.parse("[0, 3]") == ExtElem(unit(1).scale(3), 0)

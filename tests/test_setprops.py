@@ -170,6 +170,18 @@ class TestJammedness:
         # no structural rule says so yet, and sampled escapes must not say Fails.
         assert is_jammed(desc).verdict != FAILS
 
+    @pytest.mark.parametrize("desc, rule", [
+        (DownClosure(IntImage(PSI_DOWN)), "downclosure-invariance"),
+        (Affine(V("[1]"), 2, IntImage(DownClosure(s_descriptor(example(BIG_INT))))),
+         "affine-invariance"),
+    ], ids=["down-int-psidown", "affine-int-down-bigint"])
+    def test_unknown_names_its_transport(self, desc, rule):
+        verdict = is_jammed(desc)
+        assert (verdict.verdict, verdict.rule) == (UNKNOWN, rule)
+        assert verdict.witness["inherited_from"] == "no-structural-rule"
+        assert verdict.witness["inner_witness"] == is_jammed(desc.inner).witness
+        assert recheck_jammed(desc, verdict)
+
     def test_recheck_uses_the_stated_bump(self):
         desc = IntImage(s_descriptor(example(SMALL_INT)))
         verdict = is_jammed(desc)
