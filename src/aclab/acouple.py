@@ -20,7 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, takewhile
+from math import gcd
 from typing import Iterator, Optional, Union
 
 from .ogroup import (
@@ -30,6 +31,7 @@ from .ogroup import (
     ExtLike,
     GammaInf,
     GroupElem,
+    _from_items,
     arch_cmp,
     ones,
     unit,
@@ -54,8 +56,8 @@ def der(gamma: ExtLike) -> ExtLike:
 def first_non_one(gamma: GroupElem) -> int:
     """The first index whose coordinate is not 1 (absent coordinates are 0)."""
     n = 0
-    for index, coeff in gamma.items:
-        if index > n or coeff != 1:
+    for index, num, den in gamma.key:
+        if index > n or not num == den == 1:
             break
         n = index + 1
     return n
@@ -69,9 +71,13 @@ def integrate(gamma: GroupElem) -> GroupElem:
     the rest.
     """
     n = first_non_one(gamma)
-    pairs = [(n, gamma.coeff(n) - 1)]
-    pairs.extend((i, c) for i, c in gamma.items if i > n)
-    return GroupElem(pairs)
+    # The first n triples are the coefficients 1 at indices 0..n-1.  The
+    # triple (n, num - den, den) is in lowest terms as (n, num, den) is.
+    rest = gamma.key[n:]
+    if rest and rest[0][0] == n:
+        _, num, den = rest[0]
+        return _from_items(((n, num - den, den),) + rest[1:])
+    return _from_items(((n, -1, 1),) + rest)
 
 
 def successor(gamma: GroupElem) -> GroupElem:
@@ -83,7 +89,7 @@ def chi(gamma: GroupElem) -> GroupElem:
     """The integral of psi(gamma): -e_{n+1} for first nonzero index n; chi(0) = 0."""
     if gamma.is_zero():
         return GroupElem.ZERO
-    return unit(gamma.first_index() + 1).scale(-1)
+    return _from_items(((gamma.first_index() + 1, -1, 1),))
 
 
 FAILURE_CAP = 50
@@ -109,13 +115,11 @@ class Report:
         self.failures.append({**head, **{k: str(v) for k, v in data.items()}})
 
     def each(self, count: int) -> Iterator[int]:
-        """Cases 0..count-1, stopping after one that leaves over FAILURE_CAP failures."""
+        """Cases 0..count-1, stopping after one that leaves over FAILURE_CAP
+        failures.  A count below 1 raises here, before any case runs."""
         if count < 1:
             raise ValueError(f"suite {self.suite} needs at least 1 case, got {count}")
-        for case in range(count):
-            yield case
-            if len(self.failures) > FAILURE_CAP:
-                return
+        return takewhile(lambda case: case == 0 or len(self.failures) <= FAILURE_CAP, range(count))
 
     def to_dict(self) -> dict:
         return {
@@ -176,8 +180,10 @@ class TrichotomyResult:
         return out
 
 
+# Lowest-terms (numerator, denominator) pairs.  Repeats such as 2/4 and 1/2
+# stay: which coefficient a draw gives depends on the pool's length and order.
 COEFF_POOL = [
-    Fraction(n, d)
+    (n // gcd(n, d), d // gcd(n, d))
     for n in range(-16, 17)
     for d in (1, 2, 3, 4, 5, 7, 8, 11, 13, 16)
     if n != 0
@@ -194,7 +200,7 @@ def sample_elem(
     most 6, indices at most 12, coefficient magnitudes at most 16."""
     size = rng.randint(0 if allow_zero else 1, max_support)
     indices = rng.sample(range(max_index + 1), min(size, max_index + 1))
-    return GroupElem((i, rng.choice(COEFF_POOL)) for i in indices)
+    return _from_items(tuple(sorted((i, *rng.choice(COEFF_POOL)) for i in indices)))
 
 
 def sample_nonzero(rng: random.Random, max_index: int = 12) -> GroupElem:
@@ -204,11 +210,13 @@ def sample_nonzero(rng: random.Random, max_index: int = 12) -> GroupElem:
             return g
 
 
+DQ_POOL = [Fraction(q) for q in (0, 0, 1, -1, "1/2", "-3/2", 2)]
+
+
 def sample_ext(rng: random.Random) -> ExtElem:
     """Sample in the delta extension; about half the draws leave the base group."""
     base = sample_elem(rng)
-    dq = rng.choice([0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 2), 2])
-    return ExtElem(base, dq)
+    return ExtElem(base, rng.choice(DQ_POOL))
 
 
 def _ext_psi_pair(rng: random.Random) -> ExtElem:
@@ -319,15 +327,7 @@ def identity_suite(sample_size: int, seed: int) -> Report:
     return report
 
 
-GRID_COEFFS = [
-    Fraction(-2),
-    Fraction(-1),
-    Fraction(-1, 2),
-    Fraction(0),
-    Fraction(1, 2),
-    Fraction(1),
-    Fraction(2),
-]
+GRID_COEFFS = [Fraction(q) for q in (-2, -1, "-1/2", 0, "1/2", 1, 2)]
 
 
 def conformance_grid() -> Report:

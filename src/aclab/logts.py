@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .acouple import Report, integrate, psi
-from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, as_rat, ones, unit
+from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, _from_items, as_rat, ones, unit
 
 
 # Monomials are hash-consed (Filliatre & Conchon, "Type-safe modular
@@ -549,26 +549,15 @@ def is_in_I(f: Frac) -> bool:
     return integrate(v) > GroupElem.ZERO
 
 
-MONOMIAL_EXP_POOL = [Fraction(n) for n in range(-4, 5) if n] + [
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(3, 2),
-    Fraction(-5, 2),
-    Fraction(1, 3),
-]
+# Exponents as (numerator, denominator) pairs in lowest terms.
+MONOMIAL_EXP_POOL = [(n, 1) for n in range(-4, 5) if n] + [(1, 2), (-1, 2), (3, 2), (-5, 2), (1, 3)]
 
-COEFF_POOL = [Fraction(n) for n in range(-9, 10) if n] + [
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(2, 3),
-    Fraction(-3, 4),
-    Fraction(5, 2),
-]
+COEFF_POOL = [Fraction(q) for q in (*range(-9, 0), *range(1, 10), "1/2", "-1/2", "2/3", "-3/4", "5/2")]
 
 
 def random_monomial(rng: random.Random) -> Monomial:
     indices = rng.sample(range(9), rng.randint(0, 3))
-    return Monomial(GroupElem((i, rng.choice(MONOMIAL_EXP_POOL)) for i in indices))
+    return Monomial(_from_items(tuple(sorted((i, *rng.choice(MONOMIAL_EXP_POOL)) for i in indices))))
 
 
 def random_series(rng: random.Random, max_terms: int = 3, allow_zero: bool = False) -> Series:

@@ -7,6 +7,11 @@ element is positive exactly when its lowest-index nonzero coefficient is.
 The group is divisible (coefficients are rational), and its archimedean
 class is determined by the first nonzero index alone.
 
+A vector stores ``(index, numerator, denominator)`` integer triples sorted
+by index, none zero, each in lowest terms with a positive denominator, so
+equal vectors have equal triples and arithmetic runs on plain ints.
+``Fraction`` appears only at the API (``items``, ``coeff``, ``to_list``).
+
 A second element type adjoins a single extra point ``delta`` whose
 coordinate sequence is constant 1.  Sums ``base + q*delta`` are compared
 through their padded, eventually constant coordinate sequences; this
@@ -24,9 +29,12 @@ only.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from math import gcd
+from operator import ge, gt, le, lt
+from typing import Callable, Iterable, Optional, Union
 
 RatLike = Union[int, str, Fraction]
+Triples = tuple[tuple[int, int, int], ...]
 
 
 def as_rat(value: RatLike) -> Fraction:
@@ -46,25 +54,19 @@ class GroupElem:
     NotImplemented, so the other operand's operator decides.
     """
 
-    __slots__ = ("_items", "_key")
+    __slots__ = ("_items",)
 
     ZERO: "GroupElem"
 
-    def __init__(self, coeffs: Union[Mapping[int, RatLike], Iterable[tuple[int, RatLike]]] = ()) -> None:
-        if isinstance(coeffs, Mapping):
-            pairs = coeffs.items()
-        else:
-            pairs = coeffs
+    def __init__(self, coeffs: Iterable[tuple[int, RatLike]] = ()) -> None:
         cleaned: dict[int, Fraction] = {}
-        for index, raw in pairs:
+        for index, raw in coeffs:
             if index < 0:
                 raise ValueError(f"negative coordinate index {index}")
             value = as_rat(raw)
             if value:
-                cleaned[index] = cleaned.get(index, Fraction(0)) + value
-        items = tuple(sorted((i, c) for i, c in cleaned.items() if c))
-        object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_key", None)
+                cleaned[index] = cleaned.get(index, 0) + value
+        self._items = tuple(sorted((i, c.numerator, c.denominator) for i, c in cleaned.items() if c))
 
     @classmethod
     def from_list(cls, dense: Iterable[RatLike]) -> "GroupElem":
@@ -87,16 +89,21 @@ class GroupElem:
 
     @property
     def items(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((i, Fraction(n, d)) for i, n, d in self._items)
+
+    @property
+    def key(self) -> Triples:
+        """The stored (index, numerator, denominator) triples."""
         return self._items
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self._items)
+        return tuple(i for i, _, _ in self._items)
 
     def coeff(self, index: int) -> Fraction:
-        for i, c in self._items:
+        for i, n, d in self._items:
             if i == index:
-                return c
+                return Fraction(n, d)
             if i > index:
                 break
         return Fraction(0)
@@ -113,7 +120,8 @@ class GroupElem:
     def leading_coeff(self) -> Fraction:
         if not self._items:
             raise ValueError("the zero vector has no leading coefficient")
-        return self._items[0][1]
+        _, n, d = self._items[0]
+        return Fraction(n, d)
 
     def max_index(self) -> int:
         """Highest index in the support, -1 for the zero vector."""
@@ -133,11 +141,6 @@ class GroupElem:
             return self
         return _merge(self._items, other._items, False)
 
-    def __radd__(self, other: object) -> "GroupElem":
-        if other == 0:
-            return self
-        return NotImplemented
-
     def __sub__(self, other: "GroupElem") -> "GroupElem":
         if not isinstance(other, GroupElem):
             return NotImplemented
@@ -146,37 +149,37 @@ class GroupElem:
         return _merge(self._items, other._items, True)
 
     def __neg__(self) -> "GroupElem":
-        return _from_items(tuple((i, -c) for i, c in self._items))
+        return _from_items(tuple((i, -n, d) for i, n, d in self._items))
 
     def scale(self, factor: RatLike) -> "GroupElem":
-        q = as_rat(factor)
-        if not q:
-            return GroupElem.ZERO
-        return _from_items(tuple((i, c * q) for i, c in self._items))
+        q = factor if isinstance(factor, int) else as_rat(factor)
+        return self._scaled(q.numerator, q.denominator)
 
     def div(self, n: int) -> "GroupElem":
         """Exact division witnessing divisibility of the group."""
         if n == 0:
             raise ZeroDivisionError("division of a vector by zero")
-        return self.scale(Fraction(1, n))
+        return self._scaled(1, n) if n > 0 else self._scaled(-1, -n)
+
+    def _scaled(self, qn: int, qd: int) -> "GroupElem":
+        """Multiply by qn/qd, given in lowest terms with qd > 0."""
+        if not qn:
+            return GroupElem.ZERO
+        out = []
+        for i, n, d in self._items:
+            n *= qn
+            d *= qd
+            g = gcd(n, d)
+            out.append((i, n // g, d // g))
+        return _from_items(tuple(out))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GroupElem):
             return self._items == other._items
         return NotImplemented
 
-    @property
-    def key(self) -> tuple[tuple[int, int, int], ...]:
-        """The items as (index, numerator, denominator) integer triples,
-        which hash and compare in C where Fractions do not."""
-        key = self._key
-        if key is None:
-            key = tuple((i, c.numerator, c.denominator) for i, c in self._items)
-            object.__setattr__(self, "_key", key)
-        return key
-
     def __hash__(self) -> int:
-        return hash(self.key)
+        return hash(self._items)
 
     def __lt__(self, other: "GroupElem") -> bool:
         if isinstance(other, GroupElem):
@@ -201,8 +204,8 @@ class GroupElem:
     def to_list(self) -> list[Fraction]:
         """Dense coefficient list through the highest supported index."""
         dense = [Fraction(0)] * (self.max_index() + 1)
-        for i, c in self._items:
-            dense[i] = c
+        for i, n, d in self._items:
+            dense[i] = Fraction(n, d)
         return dense
 
     def __str__(self) -> str:
@@ -212,7 +215,14 @@ class GroupElem:
         return f"GroupElem({str(self)})"
 
 
-GroupElem.ZERO = GroupElem()
+def _from_items(items: Triples) -> GroupElem:
+    """Internal constructor for triples that already hold the invariant."""
+    out = object.__new__(GroupElem)
+    out._items = items
+    return out
+
+
+GroupElem.ZERO = _from_items(())
 
 
 class _Infinity:
@@ -249,43 +259,44 @@ INFINITY = _Infinity()
 GammaInf = Union[GroupElem, _Infinity]
 
 
-def _from_items(items: tuple[tuple[int, Fraction], ...]) -> GroupElem:
-    """Internal constructor for already sorted, duplicate-free, zero-free items."""
-    out = GroupElem.__new__(GroupElem)
-    object.__setattr__(out, "_items", items)
-    object.__setattr__(out, "_key", None)
-    return out
-
-
-def _merge(ia: tuple[tuple[int, Fraction], ...], ib: tuple[tuple[int, Fraction], ...],
-           negate: bool) -> GroupElem:
-    """``a + b``, or ``a - b`` when negate, from two sorted item tuples in one walk."""
-    out: list[tuple[int, Fraction]] = []
+def _merge(ia: Triples, ib: Triples, negate: bool) -> GroupElem:
+    """``a + b``, or ``a - b`` when negate, from two sorted triple tuples in one walk."""
+    out: list[tuple[int, int, int]] = []
     pa = pb = 0
     na, nb = len(ia), len(ib)
     while pa < na and pb < nb:
-        a_i, a_c = ia[pa]
-        b_i, b_c = ib[pb]
-        if a_i < b_i:
-            out.append(ia[pa])
+        a = ia[pa]
+        b = ib[pb]
+        if a[0] < b[0]:
+            out.append(a)
             pa += 1
-        elif b_i < a_i:
-            out.append((b_i, -b_c) if negate else ib[pb])
+        elif b[0] < a[0]:
+            out.append((b[0], -b[1], b[2]) if negate else b)
             pb += 1
         else:
-            s = a_c - b_c if negate else a_c + b_c
-            if s:
-                out.append((a_i, s))
+            i, an, ad = a
+            _, bn, bd = b
+            if negate:
+                bn = -bn
+            if ad == bd:
+                n, d = an + bn, ad
+            else:
+                n, d = an * bd + bn * ad, ad * bd
+            if n:
+                g = gcd(n, d)
+                out.append((i, n // g, d // g))
             pa += 1
             pb += 1
     out.extend(ia[pa:])
-    out.extend([(i, -c) for i, c in ib[pb:]] if negate else ib[pb:])
+    out.extend([(i, -n, d) for i, n, d in ib[pb:]] if negate else ib[pb:])
     return _from_items(tuple(out))
 
 
 def unit(index: int) -> GroupElem:
     """The generator e_index."""
-    return GroupElem(((index, 1),))
+    if index < 0:
+        raise ValueError(f"negative coordinate index {index}")
+    return _from_items(((index, 1, 1),))
 
 
 _ONES_CACHE: list[GroupElem] = [GroupElem.ZERO]
@@ -296,7 +307,7 @@ def ones(length: int) -> GroupElem:
     if length < 0:
         raise ValueError("prefix length must be nonnegative")
     while len(_ONES_CACHE) <= length:
-        _ONES_CACHE.append(GroupElem((i, 1) for i in range(len(_ONES_CACHE))))
+        _ONES_CACHE.append(_from_items(_ONES_CACHE[-1]._items + ((len(_ONES_CACHE) - 1, 1, 1),)))
     return _ONES_CACHE[length]
 
 
@@ -310,14 +321,14 @@ def cmp(a: GroupElem, b: GroupElem) -> int:
     na, nb = len(ia), len(ib)
     pa = pb = 0
     while pa < na and pb < nb:
-        idx_a, ca = ia[pa]
-        idx_b, cb = ib[pb]
-        if idx_a < idx_b:
-            return 1 if ca > 0 else -1
-        if idx_b < idx_a:
-            return -1 if cb > 0 else 1
-        if ca != cb:
-            return 1 if ca > cb else -1
+        ta = ia[pa]
+        tb = ib[pb]
+        if ta != tb:
+            if ta[0] < tb[0]:
+                return 1 if ta[1] > 0 else -1
+            if tb[0] < ta[0]:
+                return -1 if tb[1] > 0 else 1
+            return 1 if ta[1] * tb[2] > tb[1] * ta[2] else -1
         pa += 1
         pb += 1
     if pa < na:
@@ -334,16 +345,10 @@ def arch_cmp(a: GroupElem, b: GroupElem) -> int:
     index, with lower index meaning strictly larger class; the class of
     zero is below every other.
     """
-    if a.is_zero() and b.is_zero():
-        return 0
-    if a.is_zero():
-        return -1
-    if b.is_zero():
-        return 1
+    if a.is_zero() or b.is_zero():
+        return b.is_zero() - a.is_zero()
     fa, fb = a.first_index(), b.first_index()
-    if fa == fb:
-        return 0
-    return 1 if fa < fb else -1
+    return (fa < fb) - (fb < fa)
 
 
 class ExtElem:
@@ -370,28 +375,15 @@ class ExtElem:
     def is_zero(self) -> bool:
         return self.dq == 0 and self.base.is_zero()
 
-    def _lead(self) -> tuple[int, Fraction]:
-        """The first index with nonzero padded entry and that entry, 0 only at zero."""
-        i = 0
-        for index, c in self.base.items:
-            if self.dq and index > i:
-                return i, self.dq
-            entry = c + self.dq
-            if entry:
-                return index, entry
-            i = index + 1
-        return i, self.dq
-
     def first_index(self) -> int:
         """First index with nonzero padded entry; error on the zero element."""
-        i, entry = self._lead()
-        if not entry:
+        i, sign = _padded_lead(self.base._items, self.dq, (), _NO_DELTA)
+        if not sign:
             raise ValueError("the zero element has no leading index")
         return i
 
     def sign(self) -> int:
-        entry = self._lead()[1]
-        return (entry > 0) - (entry < 0)
+        return _padded_lead(self.base._items, self.dq, (), _NO_DELTA)[1]
 
     def __add__(self, other: object) -> "ExtElem":
         if isinstance(other, ExtElem):
@@ -432,21 +424,28 @@ class ExtElem:
         # With dq == 0 it equals its base, so it hashes like it.
         return hash((self.base, self.dq)) if self.dq else hash(self.base)
 
+    def _order(self, other: object, op: Callable[[int, int], bool]) -> bool:
+        """``op(sign of self - other, 0)``, walking both operands in step;
+        NotImplemented unless other is an ExtElem or a GroupElem."""
+        if isinstance(other, ExtElem):
+            ib, qb = other.base._items, other.dq
+        elif isinstance(other, GroupElem):
+            ib, qb = other._items, _NO_DELTA
+        else:
+            return NotImplemented
+        return op(_padded_lead(self.base._items, self.dq, ib, qb)[1], 0)
+
     def __lt__(self, other: object) -> bool:
-        diff = self.__sub__(other)
-        return diff if diff is NotImplemented else diff.sign() < 0
+        return self._order(other, lt)
 
     def __le__(self, other: object) -> bool:
-        diff = self.__sub__(other)
-        return diff if diff is NotImplemented else diff.sign() <= 0
+        return self._order(other, le)
 
     def __gt__(self, other: object) -> bool:
-        diff = self.__sub__(other)
-        return diff if diff is NotImplemented else diff.sign() > 0
+        return self._order(other, gt)
 
     def __ge__(self, other: object) -> bool:
-        diff = self.__sub__(other)
-        return diff if diff is NotImplemented else diff.sign() >= 0
+        return self._order(other, ge)
 
     def __str__(self) -> str:
         if self.dq == 0:
@@ -459,6 +458,40 @@ class ExtElem:
         return f"ExtElem({self.base!r}, {self.dq})"
 
 
+_NO_DELTA = Fraction(0)
+
+
+def _padded_lead(ia: Triples, qa: Fraction, ib: Triples, qb: Fraction) -> tuple[int, int]:
+    """Where the padded sequences ``a_i + qa`` and ``b_i + qb`` first differ,
+    and the sign of ``a - b`` there (0 when they are equal).  Walks both
+    supports in step, like ``cmp``; past them the difference is qa - qb."""
+    qn = qa.numerator * qb.denominator - qb.numerator * qa.denominator
+    qd = qa.denominator * qb.denominator
+    pa = pb = i = 0
+    na, nb = len(ia), len(ib)
+    while pa < na or pb < nb:
+        if pb == nb or (pa < na and ia[pa][0] < ib[pb][0]):
+            index, n, d = ia[pa]
+            pa += 1
+        elif pa == na or ib[pb][0] < ia[pa][0]:
+            index, n, d = ib[pb]
+            n = -n
+            pb += 1
+        else:
+            index, an, ad = ia[pa]
+            _, bn, bd = ib[pb]
+            n, d = an * bd - bn * ad, ad * bd
+            pa += 1
+            pb += 1
+        if qn and index > i:
+            break
+        entry = n * qd + qn * d
+        if entry:
+            return index, (entry > 0) - (entry < 0)
+        i = index + 1
+    return i, (qn > 0) - (qn < 0)
+
+
 DELTA = ExtElem(GroupElem.ZERO, 1)
 
 ExtLike = Union[GroupElem, ExtElem]
@@ -466,9 +499,7 @@ ExtLike = Union[GroupElem, ExtElem]
 
 def rat_json(q: Fraction) -> Union[int, str]:
     """JSON-safe exact rational: a plain int when integral, else ``p/q``."""
-    if q.denominator == 1:
-        return int(q)
-    return str(q)
+    return int(q) if q.denominator == 1 else str(q)
 
 
 def vector_json(g: GammaInf) -> Union[list[Union[int, str]], str]:

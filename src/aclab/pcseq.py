@@ -403,6 +403,7 @@ def lambda_suite(prefix_len: int = 12, corpus_size: int = 1000, seed: int = 31) 
     perturbed variant is equivalent, no corpus element is a pseudolimit,
     and every corpus element gets a parting witness within the prefix."""
     report = Report("lambda", seed, corpus_size + prefix_len + 2, "check")
+    corpus = report.each(corpus_size)
     lam = lambda_seq(prefix_len)
     pc = is_pc_prefix(lam)
     if pc.status != YES or pc.index != 0:
@@ -416,7 +417,7 @@ def lambda_suite(prefix_len: int = 12, corpus_size: int = 1000, seed: int = 31) 
         report.fail("lambda-equivalent", 0, verdict=eq.to_dict())
 
     rng = random.Random(seed)
-    for case in report.each(corpus_size):
+    for case in corpus:
         s = random_frac(rng)
         pl = pseudolimit_check(lam, s)
         if pl.status == YES:

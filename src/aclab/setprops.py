@@ -30,7 +30,7 @@ from typing import Optional, Union
 from . import extend
 from .acouple import Report, chi, der, first_non_one, integrate, sample_elem, sample_nonzero
 from .extend import ExtS, step_bound
-from .ogroup import GroupElem, as_rat, ones, unit, vector_json
+from .ogroup import GroupElem, ones, unit, vector_json
 
 K_MAX = 32
 
@@ -206,11 +206,7 @@ def _require_half(desc: SetDescriptor, query: str = "integral image over") -> in
 # ---------------------------------------------------------------------------
 # Sampling members.
 
-_TAIL_POOL = [Fraction(n) for n in (-3, -2, -1, 1, 2, 3)] + [
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(5, 2),
-]
+_TAIL_POOL = [Fraction(q) for q in (-3, -2, -1, 1, 2, 3, "1/2", "-1/2", "5/2")]
 
 _SUB_ONE_POOL = [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(3, 4)]
 
@@ -282,13 +278,9 @@ def _has_greatest(desc: SetDescriptor) -> Optional[bool]:
         return True
     if isinstance(desc, (LessThan, PsiDown)):
         return False
-    if isinstance(desc, Affine):
-        return _has_greatest(desc.inner)
-    if isinstance(desc, DownClosure):
-        return _has_greatest(desc.inner)
-    if isinstance(desc, IntImage):
-        # The integral map is a strictly increasing bijection onto the
-        # nonzero vectors, so maxima transfer both ways.
+    if isinstance(desc, (Affine, DownClosure, IntImage)):
+        # Affine maps, the integral map (a strictly increasing bijection onto
+        # the nonzero vectors) and downward closure keep a maximum or its lack.
         return _has_greatest(desc.inner)
     if isinstance(desc, ExtS):
         return False
@@ -395,7 +387,7 @@ def recheck_jammed(desc: SetDescriptor, verdict: PropertyVerdict) -> bool:
             return isinstance(desc, (Affine, DownClosure)) and recheck_jammed(desc.inner, inner)
         if "bump" not in w or "level" not in w:
             return False
-        bump = GroupElem.from_list(as_rat(v) for v in w["bump"])
+        bump = GroupElem.from_list(w["bump"])
         return all(_jam_escape_ok(desc, sample_member(desc, rng), bump, int(w["level"]))
                    for _ in range(60))
     return True
@@ -542,7 +534,8 @@ def recheck_yardstick(desc: SetDescriptor, verdict: PropertyVerdict,
     rng = random.Random(6)
     step = step_bound if derived else _step
     if verdict.verdict == HOLDS:
-        base = _verdict_base(verdict)
+        base = (verdict.witness or {}).get("base")
+        base = None if base is None else GroupElem.from_list(base)
         for _ in range(probes):
             g = sample_member(desc, rng)
             if base is not None and not g > base:
@@ -554,17 +547,9 @@ def recheck_yardstick(desc: SetDescriptor, verdict: PropertyVerdict,
         w = (verdict.witness or {}).get("witness")
         if w is None:
             return False
-        gamma = GroupElem.from_list(as_rat(v) for v in w)
+        gamma = GroupElem.from_list(w)
         return member(desc, gamma) and not member(desc, step(gamma))
     return True
-
-
-def _verdict_base(verdict: PropertyVerdict) -> Optional[GroupElem]:
-    w = verdict.witness or {}
-    base = w.get("base")
-    if base is None:
-        return None
-    return GroupElem.from_list(as_rat(v) for v in base)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from aclab import acouple
+from aclab import acouple, pcseq
 from aclab.cli import build_parser, main
 
 
@@ -36,6 +36,7 @@ def test_json_flag_is_gone(monkeypatch):
     (["suite", "exclusion", "--cases", "-3"], "needs at least 1 case, got -3"),
     (["suite", "lambda", "--cases", "-1"], "needs at least 1 case, got -1"),
     (["suite", "couple", "--cases", "0"], "needs at least 1 case, got 0"),
+    (["lambda", "301"], "lambda index 301 is above the limit 300"),
 ])
 def test_usage_errors_are_json(capsys, monkeypatch, argv, needle):
     monkeypatch.delenv("ACLAB_SEED", raising=False)
@@ -45,6 +46,17 @@ def test_usage_errors_are_json(capsys, monkeypatch, argv, needle):
     assert captured.out.count("\n") == 1
     assert needle in json.loads(captured.out)["error"]
     assert captured.err == ""
+
+
+def test_lambda_suite_checks_the_count_before_the_prefix(capsys, monkeypatch):
+    def no_prefix(count):
+        raise AssertionError("the lambda prefix was built")
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    monkeypatch.setattr(pcseq, "lambda_seq", no_prefix)
+    code = main(["suite", "lambda", "--cases", "0", "--len", "60"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "suite lambda needs at least 1 case, got 0"}
 
 
 @pytest.mark.parametrize("argv", [["val", "-x"], ["psi", "-x"], ["cmp", "x", "-y"],

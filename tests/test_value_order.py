@@ -79,6 +79,15 @@ def test_mixed_order_agrees_with_padded_sequences(a, e):
         assert e.sign() == (1 if entries[lead] > 0 else -1)
 
 
+@given(ext_elems(), st.one_of(ext_elems(), group_elems()))
+def test_extension_operators_agree_with_the_difference(x, y):
+    for left, right in ((x, y), (y, x)):
+        s = (left - right).sign()
+        assert s == reference_padded_cmp(left, right)
+        assert (left < right, left <= right, left > right, left >= right) == (
+            s < 0, s <= 0, s > 0, s >= 0)
+
+
 def test_mixed_order_examples():
     assert ones(2) < DELTA and DELTA > ones(2)
     assert not ones(2) >= DELTA and not DELTA <= ones(2)
