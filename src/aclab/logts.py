@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from .acouple import Report, integrate, psi
@@ -104,10 +105,14 @@ class Monomial:
 
     def derivative_terms(self) -> tuple[tuple["Monomial", Fraction], ...]:
         """The finitely many terms of m': coefficient r_i on m * (l0...li)^-1."""
+        return tuple((m, Fraction(n, d)) for m, n, d in self._derivative_triples())
+
+    def _derivative_triples(self) -> tuple[tuple["Monomial", int, int], ...]:
+        """``derivative_terms`` with each r_i as its (numerator, denominator)."""
         terms = self._derivative
         if terms is None:
             exps = self.exponents
-            terms = tuple((Monomial(exps - ones(i + 1)), r) for i, r in exps.items)
+            terms = tuple((Monomial(exps - ones(i + 1)), n, d) for i, n, d in exps.key)
             object.__setattr__(self, "_derivative", terms)
         return terms
 
@@ -144,154 +149,168 @@ def _exp_text(e: Fraction) -> str:
     return f"({e})"
 
 
+class BudgetExceeded(ValueError):
+    """A Series product would form more than MAX_TERM_PAIRS term pairs."""
+
+
+# A Series product forms one term pair per pair of terms of its factors.  At
+# this cap the largest allowed product takes 0.7-2.3 s (2 cores, CPython 3.11,
+# on a shared host whose speed varies about twofold); the suites' largest
+# products form a few thousand pairs.
+MAX_TERM_PAIRS = 300_000
+
+
 class Series:
     """A finite rational combination of monomials in canonical form.
 
-    The term map never stores zero coefficients; the zero series is the
-    empty map.  The leading term is the one of minimal valuation, i.e.
-    maximal exponent vector, and is unique because the monomial order is
-    total.
+    A series stores integer numerators ``_nums`` over one common denominator
+    ``_den``: ``_den > 0``, no numerator is zero, and ``gcd(_den, *nums) ==
+    1``, so equal series store equal maps and denominators; the zero series
+    is ``({}, 1)``.  Arithmetic runs on ints, and ``Fraction`` appears only
+    at the API (``terms``, ``leading``, ``sorted_terms`` and the printers).
+    The leading term is the one of minimal valuation, i.e. maximal exponent
+    vector, and is unique because the monomial order is total.
     """
 
-    __slots__ = ("_terms", "_lead")
+    __slots__ = ("_nums", "_den", "_lead")
 
     ZERO: "Series"
     ONE: "Series"
 
-    def __init__(self, terms: Union[Mapping[Monomial, RatLike], Iterable[tuple[Monomial, RatLike]]] = ()) -> None:
+    def __new__(cls, terms: Union[Mapping[Monomial, RatLike], Iterable[tuple[Monomial, RatLike]]] = ()) -> "Series":
         if isinstance(terms, Mapping):
-            pairs = terms.items()
-        else:
-            pairs = terms
+            terms = terms.items()
         acc: dict[Monomial, Fraction] = {}
-        for mono, raw in pairs:
-            c = as_rat(raw)
-            prev = acc.get(mono)
-            acc[mono] = c if prev is None else prev + c
-        object.__setattr__(self, "_terms", _nonzero(acc))
-        object.__setattr__(self, "_lead", None)
+        for mono, raw in terms:
+            acc[mono] = acc.get(mono, 0) + as_rat(raw)
+        den = lcm(*(c.denominator for c in acc.values()))
+        return _series({m: c.numerator * (den // c.denominator) for m, c in acc.items()}, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Series is immutable")
 
     @classmethod
     def from_rat(cls, value: RatLike) -> "Series":
-        return cls(((Monomial.ONE, as_rat(value)),))
+        return cls.monomial(Monomial.ONE, value)
 
     @classmethod
     def monomial(cls, mono: Monomial, coeff: RatLike = 1) -> "Series":
-        return cls(((mono, as_rat(coeff)),))
+        qn, qd = _int_pair(coeff)
+        return _series({mono: qn}, qd)
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {m: Fraction(n, den) for m, n in self._nums.items()}
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def leading(self) -> tuple[Monomial, Fraction]:
         """The term of minimal valuation; error on the zero series."""
-        if not self._terms:
+        if not self._nums:
             raise ValueError("the zero series has no leading term")
         cached = self._lead
         if cached is None:
             best = None
-            for mono in self._terms:
+            for mono in self._nums:
                 if best is None or mono.exponents > best.exponents:
                     best = mono
-            cached = (best, self._terms[best])
+            cached = (best, Fraction(self._nums[best], self._den))
             object.__setattr__(self, "_lead", cached)
         return cached
 
     def valuation(self) -> GammaInf:
-        if not self._terms:
+        if not self._nums:
             return INFINITY
         return self.leading()[0].valuation()
 
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        if not self._terms:
+        if not self._nums:
             return other
-        if not other._terms:
+        if not other._nums:
             return self
-        acc = dict(self._terms)
-        for mono, c in other._terms.items():
-            prev = acc.get(mono)
-            acc[mono] = c if prev is None else prev + c
-        return _from_terms(_nonzero(acc))
+        da, db = self._den, other._den
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, den // db
+        acc = {m: n * fa for m, n in self._nums.items()}
+        for mono, n in other._nums.items():
+            acc[mono] = acc.get(mono, 0) + n * fb
+        return _series(acc, den)
 
     def __neg__(self) -> "Series":
-        return self.scale(-1)
+        return _series({m: -n for m, n in self._nums.items()}, self._den)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
     def scale(self, factor: RatLike) -> "Series":
-        q = as_rat(factor)
-        if not q:
-            return Series.ZERO
-        return _from_terms({m: c * q for m, c in self._terms.items()})
+        qn, qd = _int_pair(factor)
+        return _series({m: n * qn for m, n in self._nums.items()}, self._den * qd)
 
     def mul_term(self, mono: Monomial, coeff: RatLike = 1) -> "Series":
-        q = as_rat(coeff)
-        if not q or not self._terms:
-            return Series.ZERO
-        return _from_terms({m * mono: c * q for m, c in self._terms.items()})
+        qn, qd = _int_pair(coeff)
+        return _series({m * mono: n * qn for m, n in self._nums.items()}, self._den * qd)
 
     def __mul__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        if not self._terms or not other._terms:
+        a, b = self._nums, other._nums
+        if not a or not b:
             return Series.ZERO
-        a, b = self._terms, other._terms
+        if len(a) * len(b) > MAX_TERM_PAIRS:
+            raise BudgetExceeded(
+                f"a product of {len(a)} by {len(b)} terms is above the budget of {MAX_TERM_PAIRS} term pairs")
+        den = self._den * other._den
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
-            ((mono, coeff),) = b.items()
-            if len(a) == 1:
-                ((ma, ca),) = a.items()
-                return Series.monomial(ma * mono, ca * coeff)
-            other_only = self if a is self._terms else other
-            return other_only.mul_term(mono, coeff)
-        acc: dict[Monomial, Fraction] = {}
-        for mb, cb in b.items():
-            for ma, ca in a.items():
+            ((mb, nb),) = b.items()
+            return _series({ma * mb: na * nb for ma, na in a.items()}, den)
+        acc: dict[Monomial, int] = {}
+        get = acc.get
+        for mb, nb in b.items():
+            for ma, na in a.items():
                 key = ma * mb
-                prev = acc.get(key)
-                acc[key] = ca * cb if prev is None else prev + ca * cb
-        return _from_terms(_nonzero(acc))
+                acc[key] = get(key, 0) + na * nb
+        return _series(acc, den)
 
     def derivative(self) -> "Series":
-        acc: dict[Monomial, Fraction] = {}
-        for mono, c in self._terms.items():
-            for dm, dr in mono.derivative_terms():
-                prev = acc.get(dm)
-                acc[dm] = c * dr if prev is None else prev + c * dr
-        return _from_terms(_nonzero(acc))
+        nums = self._nums
+        # The coefficients of m' are m's exponents: one common denominator
+        # for all of them scales every term to an integer.
+        scale = lcm(*(d for mono in nums for _, _, d in mono.exponents.key))
+        acc: dict[Monomial, int] = {}
+        for mono, n in nums.items():
+            for dm, rn, rd in mono._derivative_triples():
+                acc[dm] = acc.get(dm, 0) + n * rn * (scale // rd)
+        return _series(acc, self._den * scale)
 
     def truncate_below(self, bound: GroupElem) -> "Series":
         """Drop terms with valuation strictly above ``bound``."""
-        kept = {m: c for m, c in self._terms.items() if m.valuation() <= bound}
-        return _from_terms(kept)
+        return _series({m: n for m, n in self._nums.items() if m.valuation() <= bound}, self._den)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in order of increasing valuation (decreasing magnitude)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].exponents, reverse=True)
+        den = self._den
+        ordered = sorted(self._nums.items(), key=lambda kv: kv[0].exponents, reverse=True)
+        return [(m, Fraction(n, den)) for m, n in ordered]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts: list[str] = []
         for mono, coeff in self.sorted_terms():
@@ -311,18 +330,28 @@ class Series:
         return f"Series({str(self)})"
 
 
-def _nonzero(acc: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-    """An accumulated term map without its zero sums.  It is copied only when
-    some sum is zero: the copy re-hashes every monomial."""
-    return acc if all(acc.values()) else {m: c for m, c in acc.items() if c}
-
-
-def _from_terms(terms: dict[Monomial, Fraction]) -> Series:
-    """Wrap a term map that already holds no zero coefficients."""
-    out = Series.__new__(Series)
-    object.__setattr__(out, "_terms", terms)
+def _series(nums: dict[Monomial, int], den: int) -> Series:
+    """The canonical series ``sum(n * m) / den`` for ``den > 0``: zero
+    numerators dropped, then everything divided by ``gcd(den, *nums)``.  The
+    map is copied only when some numerator is zero or the gcd is not 1."""
+    if not all(nums.values()):
+        nums = {m: n for m, n in nums.items() if n}
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {m: n // g for m, n in nums.items()}
+    out = object.__new__(Series)
+    object.__setattr__(out, "_nums", nums)
+    object.__setattr__(out, "_den", den)
     object.__setattr__(out, "_lead", None)
     return out
+
+
+def _int_pair(value: RatLike) -> tuple[int, int]:
+    """An int or rational as (numerator, denominator) in lowest terms."""
+    q = value if isinstance(value, int) else as_rat(value)
+    return q.numerator, q.denominator
 
 
 Series.ZERO = Series()

@@ -179,7 +179,9 @@ class GroupElem:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        # Doubled numerators: CPython hashes -1 like -2, so hashing the stored
+        # triples would collide for vectors that differ only there.
+        return hash(tuple([(i, n + n, d) for i, n, d in self._items]))
 
     def __lt__(self, other: "GroupElem") -> bool:
         if isinstance(other, GroupElem):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from aclab import acouple, pcseq
+from aclab import acouple, logts, pcseq
 from aclab.cli import build_parser, main
 
 
@@ -110,6 +110,17 @@ def test_deep_or_long_expression_is_a_json_syntax_error(capsys, monkeypatch, exp
     assert code == 2
     assert captured.out.count("\n") == 1
     assert needle in json.loads(captured.out)["error"]
+    assert captured.err == ""
+
+
+def test_power_over_the_term_pair_budget_is_a_json_error(capsys, monkeypatch):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    code = main(["val", "--", "(x+l1+1)^200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out) == {
+        "error": f"a product of 561 by 561 terms is above the budget of {logts.MAX_TERM_PAIRS} term pairs"}
     assert captured.err == ""
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, given
 import pytest
@@ -27,9 +28,9 @@ from aclab.logts import (
     similar,
     x_elem,
 )
-from aclab.ogroup import GroupElem, unit
+from aclab.ogroup import GroupElem, ones, unit
 
-from strategies import fracs, monomials, nonzero_fracs, series
+from strategies import coeffs, fracs, group_elems, monomials, nonzero_fracs, nonzero_series, series
 
 V = GroupElem.parse
 ONE = Frac.from_rat(1)
@@ -188,6 +189,132 @@ class TestSparseSums:
     def test_cross_terms_cancel_to_two_terms(self):
         a, b = Series.monomial(Monomial(V("[1]"))), Series.monomial(Monomial(V("[0, 1]")), 3)
         assert (a + b) * (a - b) == Series([(Monomial(V("[2]")), 1), (Monomial(V("[0, 2]")), -9)])
+
+
+def _reference_scale(s: Series, q: Fraction) -> dict:
+    return {k: c * q for k, c in _key_terms(s).items() if c * q}
+
+
+def _reference_mul_term(s: Series, m: Monomial, q: Fraction) -> dict:
+    return {(n.exponents + m.exponents).key: c * q for n, c in s.terms.items() if c * q}
+
+
+def _reference_truncate(s: Series, bound: GroupElem) -> dict:
+    return {m.exponents.key: c for m, c in s.terms.items() if -m.exponents <= bound}
+
+
+def _reference_derivative(s: Series) -> dict:
+    """m' = sum_i r_i * m * (l0...li)^-1, summed over the terms of s."""
+    out: dict = {}
+    for m, c in s.terms.items():
+        for i, r in m.exponents.items:
+            k = (m.exponents - ones(i + 1)).key
+            out[k] = out.get(k, 0) + c * r
+    return {k: c for k, c in out.items() if c}
+
+
+def _assert_canonical(s: Series) -> None:
+    """Integer numerators over one positive denominator, no zero numerator,
+    and no common factor; so the zero series is ({}, 1)."""
+    assert type(s._den) is int and s._den > 0
+    assert all(type(n) is int and n for n in s._nums.values())
+    assert gcd(s._den, *s._nums.values()) == 1
+
+
+# Rational exponents make derivative coefficients with several denominators.
+RATIONAL_EXPONENT_SERIES = [
+    [("[1/2, -5/2]", 1)],
+    [("[1/2, -5/2]", 3), ("[0, 1/3, -1/4]", Fraction(2, 3))],
+    [("[-3/2, 0, 5/6]", Fraction(-7, 4)), ("[1/2, -5/2]", Fraction(1, 5)), ("[]", 9)],
+    [("[1, 1/2]", 2), ("[1, -1/2]", -2), ("[0, 0, 0, 2/7]", Fraction(7, 2))],
+]
+
+
+class TestIntegerKernel:
+    @given(series(), series(), monomials(), coeffs(), group_elems(max_index=5))
+    def test_every_operation_is_canonical(self, s, t, m, q, bound):
+        results = [s + t, s - t, -s, s * t, s.scale(q), s.scale(0), s.mul_term(m, q),
+                   s.derivative(), s.truncate_below(bound), Series.monomial(m, q),
+                   Series.from_rat(q), Series(list(s.terms.items()) + list(t.terms.items()))]
+        for r in results:
+            _assert_canonical(r)
+
+    @given(series(), monomials(), coeffs(), group_elems(max_index=5))
+    def test_unary_operations_match_dict_reference(self, s, m, q, bound):
+        assert _key_terms(s.scale(q)) == _reference_scale(s, q)
+        assert _key_terms(-s) == _reference_scale(s, Fraction(-1))
+        assert _key_terms(s.mul_term(m, q)) == _reference_mul_term(s, m, q)
+        assert _key_terms(s.truncate_below(bound)) == _reference_truncate(s, bound)
+        assert _key_terms(s.derivative()) == _reference_derivative(s)
+
+    @pytest.mark.parametrize("spec", RATIONAL_EXPONENT_SERIES)
+    def test_derivative_with_rational_exponents_matches_reference(self, spec):
+        s = Series([(Monomial(V(vec)), c) for vec, c in spec])
+        d = s.derivative()
+        _assert_canonical(d)
+        assert _key_terms(d) == _reference_derivative(s)
+
+    def test_half_exponent_derivative(self):
+        # (x^(1/2)*l1^(-5/2))' = 1/2*x^(-1/2)*l1^(-5/2) - 5/2*x^(-1/2)*l1^(-7/2)
+        d = Series.monomial(Monomial(V("[1/2, -5/2]"))).derivative()
+        assert d.terms == {Monomial(V("[-1/2, -5/2]")): Fraction(1, 2),
+                           Monomial(V("[-1/2, -7/2]")): Fraction(-5, 2)}
+        assert d._den == 2
+
+    def test_product_over_the_term_pair_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(logts, "MAX_TERM_PAIRS", 6)
+        two = Series.from_rat(1) + Series.monomial(Monomial(V("[1]")))
+        three = two + Series.monomial(Monomial(V("[0, 1]")))
+        assert len(two * three) == 5  # six term pairs, two of them both x
+        with pytest.raises(logts.BudgetExceeded, match="3 by 3 terms"):
+            three * three
+        assert issubclass(logts.BudgetExceeded, ValueError)
+
+
+def _printer_before_integer_kernel(terms: dict) -> str:
+    """The Series printer as it was when Series stored Fraction terms."""
+    if not terms:
+        return "0"
+    parts: list[str] = []
+    for mono, coeff in sorted(terms.items(), key=lambda kv: kv[0].exponents, reverse=True):
+        if mono.exponents.is_zero():
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = str(mono)
+        else:
+            body = f"{abs(coeff)}*{mono}"
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+class TestFractionBoundary:
+    @given(nonzero_series())
+    def test_api_coefficients_are_fractions(self, s):
+        assert all(type(c) is Fraction for c in s.terms.values())
+        assert type(s.leading()[1]) is Fraction
+        assert all(type(c) is Fraction for _, c in s.sorted_terms())
+
+    @given(monomials())
+    def test_halves_sum_to_the_monomial(self, m):
+        halves = Series([(m, Fraction(1, 2)), (m, Fraction(1, 2))])
+        assert halves == Series.monomial(m)
+        assert hash(halves) == hash(Series.monomial(m))
+
+    def test_cancelling_sum_leaves_denominator_one(self):
+        x, l1 = Monomial(V("[1]")), Monomial(V("[0, 1]"))
+        s = Series([(x, Fraction(1, 2)), (l1, Fraction(3, 2))])
+        t = Series([(x, Fraction(-1, 2)), (l1, Fraction(1, 2))])
+        assert (s + t)._den == 1 and (s + t) == Series.monomial(l1, 2)
+        assert (s - s)._nums == {} and (s - s)._den == 1
+
+    def test_printer_unchanged_on_random_series(self):
+        rng = random.Random(23)
+        for _ in range(400):
+            s = random_series(rng, max_terms=5, allow_zero=True)
+            assert str(s) == _printer_before_integer_kernel(s.terms)
 
 
 class TestResidueAndConstants:
