@@ -18,6 +18,7 @@ from typing import Optional, Union
 
 from . import extend, pcseq, setprops
 from .acouple import (
+    Report,
     classify_couple,
     closure_count,
     conformance_grid,
@@ -36,6 +37,11 @@ MAX_TOKENS = 400
 # lambda_n sums n + 1 terms and checks them against its defining form: the
 # time grows faster than linearly, about 1.6 s at 300 (2 cores, CPython 3.11).
 MAX_LAMBDA_INDEX = 300
+# At these caps `extend step --kind smallexpint` (the slowest kind) took
+# 1.5-2.3 s and `suite lambda` at its default 1000 cases 1.9-2.3 s (same
+# host); both times grow faster than linearly in the count.
+MAX_STEP_ITERS = 350
+MAX_LAMBDA_PREFIX = 64
 
 
 class ExprSyntaxError(ValueError):
@@ -483,6 +489,12 @@ def _exclusion_descriptors() -> list[tuple[str, setprops.SetDescriptor]]:
     ]
 
 
+def _lambda_suite(args: argparse.Namespace) -> Report:
+    if args.len > MAX_LAMBDA_PREFIX:
+        raise ExprSemanticError(f"lambda prefix length {args.len} is above the limit {MAX_LAMBDA_PREFIX}")
+    return pcseq.lambda_suite(prefix_len=args.len, corpus_size=args.cases, seed=args.seed)
+
+
 SUITES = {
     "couple": (lambda a: verify_couple_axioms(a.cases, a.seed, "logfull"), 10000),
     "couple-gap": (lambda a: verify_couple_axioms(a.cases, a.seed, "loggap"), 10000),
@@ -493,8 +505,7 @@ SUITES = {
                                                        fails_descriptor=_CLOSED_SMALL), 0),
     "exclusion": (lambda a: setprops.exclusion_suite(_exclusion_descriptors(), a.cases, a.seed),
                   1000),
-    "lambda": (lambda a: pcseq.lambda_suite(prefix_len=a.len, corpus_size=a.cases, seed=a.seed),
-               1000),
+    "lambda": (_lambda_suite, 1000),
     "kaplansky": (lambda a: pcseq.kaplansky_suite(), 0),
     **{f"extend-{kind}": (lambda a, kind=kind: extend.verify_downward_no_max(
         extend.example(kind), a.cases, a.seed), 50) for kind in extend.KINDS},
@@ -569,6 +580,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_extend(args: argparse.Namespace) -> int:
+    if args.iters > MAX_STEP_ITERS:
+        raise ExprSemanticError(f"step count {args.iters} is above the limit {MAX_STEP_ITERS}")
     sc = extend.example(args.kind)
     if args.s is not None:
         given = evaluate(parse(args.s))

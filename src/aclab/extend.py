@@ -38,7 +38,7 @@ from functools import cache
 from typing import Optional
 
 from .acouple import Report, integrate, successor
-from .logts import Frac, Monomial, Series, ell, x_elem
+from .logts import Frac, Monomial, Series, ell, vdiff, x_elem
 from .ogroup import GroupElem, unit, vector_json
 
 SMALL_INT = "smallint"
@@ -267,7 +267,7 @@ def big_form_value(sc: ExtScenario, eps: Frac) -> GroupElem:
     if sc.kind != BIG_INT:
         raise ValueError("comparison form only exists for big-integral scenarios")
     _require_small(eps)
-    v = ((sc.g * (Frac.ONE + eps)).derivative() - sc.s).valuation()
+    v = vdiff((sc.g * (Frac.ONE + eps)).derivative(), sc.s)[0]
     if not isinstance(v, GroupElem):
         raise ValueError("comparison form integrated s exactly")
     return v

@@ -383,6 +383,11 @@ class Frac:
     coefficient 1.  Valuation, sign, and leading coefficient then read
     off the numerator directly.  Equality is by cross-multiplication;
     no polynomial gcd is attempted.
+
+    Invariant: every denominator leads with exactly ``1 * x^0``.  Hence
+    ``lead(n_f * d_g) == lead(n_f)`` for any two elements, which is what
+    ``vdiff`` (and through it the order and ``similar``) reads instead of
+    forming the quotient ``f - g``.
     """
 
     __slots__ = ("num", "den")
@@ -496,16 +501,16 @@ class Frac:
         return self.num.leading()[1]
 
     def __lt__(self, other: "Frac") -> bool:
-        return (self - other).sign() < 0
+        return vdiff(self, other)[1] < 0
 
     def __le__(self, other: "Frac") -> bool:
-        return (self - other).sign() <= 0
+        return vdiff(self, other)[1] <= 0
 
     def __gt__(self, other: "Frac") -> bool:
-        return (self - other).sign() > 0
+        return vdiff(self, other)[1] > 0
 
     def __ge__(self, other: "Frac") -> bool:
-        return (self - other).sign() >= 0
+        return vdiff(self, other)[1] >= 0
 
     def __str__(self) -> str:
         if self.den == Series.ONE:
@@ -534,14 +539,52 @@ def similar(f: Frac, g: Frac) -> bool:
     """f ~ g: the difference is strictly dominated by f."""
     if f.is_zero() or g.is_zero():
         raise ValueError("similarity is only defined for nonzero elements")
-    return (f - g).valuation() > f.valuation()
+    return vdiff(f, g)[0] > f.valuation()
+
+
+def vdiff(f: Frac, g: Frac) -> tuple[GammaInf, int]:
+    """v(f - g) and the sign of f - g, exactly, without forming f - g.
+
+    By the ``Frac`` invariant the numerator of f - g leads with the larger
+    of lead(n_f) and -lead(n_g), or with their sum when the monomials agree,
+    so those cases cost O(1).  Only equal leading terms need the numerator
+    n_f*d_g - n_g*d_f (n_f - n_g over a shared denominator), and never the
+    denominator d_f*d_g, which leads with 1: the valuation and sign are the
+    numerator's (van der Hoeven, "Relax, but don't be too lazy", 2002).
+    """
+    nf, ng = f.num, g.num
+    if ng.is_zero():
+        return _lead_value(nf, 1)
+    if nf.is_zero():
+        return _lead_value(ng, -1)
+    mf, cf = nf.leading()
+    mg, cg = ng.leading()
+    if mf != mg:
+        if mf.exponents > mg.exponents:
+            return mf.valuation(), 1 if cf > 0 else -1
+        return mg.valuation(), -1 if cg > 0 else 1
+    if cf != cg:
+        return mf.valuation(), 1 if cf > cg else -1
+    return _lead_value(nf - ng if f.den == g.den else nf * g.den - ng * f.den, 1)
+
+
+def _lead_value(s: Series, sign: int) -> tuple[GammaInf, int]:
+    """v(s) and the sign of ``sign * s``."""
+    if s.is_zero():
+        return INFINITY, 0
+    mono, coeff = s.leading()
+    return mono.valuation(), sign if coeff > 0 else -sign
 
 
 def logderiv(f: Frac) -> Frac:
-    """f' / f, additive across products."""
+    """f' / f, additive across products: (n'd - nd') / (nd) for f = n/d,
+    which takes three Series products."""
     if f.is_zero():
         raise ValueError("logarithmic derivative of zero")
-    return f.derivative() / f
+    n, d = f.num, f.den
+    if d == Series.ONE:
+        return Frac(n.derivative(), n)
+    return Frac(n.derivative() * d - n * d.derivative(), n * d)
 
 
 def is_constant(f: Frac) -> bool:

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .acouple import Report
-from .logts import Frac, ell, logderiv, random_frac
+from .logts import Frac, ell, logderiv, random_frac, vdiff
 from .ogroup import GammaInf, GroupElem, ones, vector_json
 
 YES = "yes"
@@ -62,7 +62,7 @@ class PCSeq:
 
 def _widths(seq: PCSeq, start: int = 0) -> list[GammaInf]:
     """v(a_{rho+1} - a_rho) for rho from ``start`` on."""
-    return [(seq[rho + 1] - seq[rho]).valuation() for rho in range(start, len(seq) - 1)]
+    return [vdiff(seq[rho + 1], seq[rho])[0] for rho in range(start, len(seq) - 1)]
 
 
 def _suffix_start(flags: list[bool], last: int) -> Optional[int]:
@@ -96,7 +96,7 @@ def _pc_verdict(seq: PCSeq, widths: list[GammaInf]) -> SeqVerdict:
 
     @lru_cache(maxsize=None)
     def v(i: int, j: int) -> GammaInf:
-        return widths[i] if j == i + 1 else (seq[j] - seq[i]).valuation()
+        return widths[i] if j == i + 1 else vdiff(seq[j], seq[i])[0]
 
     i, j, k = next((i, j, k) for i in range(n - 2) for j in range(i + 1, n - 1)
                    for k in range(j + 1, n) if v(j, k) <= v(i, j))
@@ -124,7 +124,7 @@ def pseudolimit_check(seq: PCSeq, x: Frac) -> SeqVerdict:
     v(x - a_rho) must strictly increase from some index on, with at least
     three points of evidence.  Hitting a point and moving on is a refusal;
     hitting only the final point leaves the prefix inconclusive."""
-    vs = [(x - a).valuation() for a in seq.points]
+    vs = [vdiff(x, a)[0] for a in seq.points]
     n = len(vs)
     _require_four(n)
     inf_at = [i for i, v in enumerate(vs) if not isinstance(v, GroupElem)]
@@ -161,7 +161,7 @@ def equivalent_prefix(a: PCSeq, b: PCSeq) -> SeqVerdict:
     _require_four(n)
     da = _widths(PCSeq(a.points[:n]))
     db = _widths(PCSeq(b.points[:n]))
-    cross = [(b[r] - a[r]).valuation() for r in range(n - 1)]
+    cross = [vdiff(b[r], a[r])[0] for r in range(n - 1)]
     holds = [da[r] == db[r] and cross[r] > da[r] for r in range(n - 1)]
     start = _suffix_start(holds, n - 4)
     if start is not None:
@@ -218,7 +218,7 @@ def lambda_free_witness(s: Frac, limit: int) -> Optional[int]:
     None when the whole range keeps canceling (never with an infinite
     valuation, which only says s + lambda_n vanished exactly)."""
     for n in range(limit + 1):
-        v = (s + lambda_term(n)).valuation()
+        v = vdiff(s, -lambda_term(n))[0]
         if v <= ones(n + 1):
             return n
     return None

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from aclab import acouple, logts, pcseq
+from aclab import acouple, cli, logts, pcseq
 from aclab.cli import build_parser, main
 
 
@@ -37,6 +37,8 @@ def test_json_flag_is_gone(monkeypatch):
     (["suite", "lambda", "--cases", "-1"], "needs at least 1 case, got -1"),
     (["suite", "couple", "--cases", "0"], "needs at least 1 case, got 0"),
     (["lambda", "301"], "lambda index 301 is above the limit 300"),
+    (["extend", "step", "--kind", "smallint", "--iters", "351"], "step count 351 is above the limit 350"),
+    (["suite", "lambda", "--len", "65"], "lambda prefix length 65 is above the limit 64"),
 ])
 def test_usage_errors_are_json(capsys, monkeypatch, argv, needle):
     monkeypatch.delenv("ACLAB_SEED", raising=False)
@@ -130,3 +132,22 @@ def test_expression_at_the_bounds_is_evaluated(capsys, monkeypatch):
     assert main(["val", "--", "+".join(["x"] * 200)]) == 0
     assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == [
         {"valuation": [-1]}, {"valuation": [-1]}]
+
+
+def test_step_and_prefix_caps_admit_their_bound(capsys, monkeypatch):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    defaults = build_parser().parse_args(["suite", "lambda"])
+    # perfbench asks for up to 20 steps and for prefixes of 12, the default.
+    assert defaults.len == 12
+    assert cli.MAX_STEP_ITERS >= 20 and cli.MAX_LAMBDA_PREFIX >= 12
+    monkeypatch.setattr(cli, "MAX_STEP_ITERS", 2)
+    monkeypatch.setattr(cli, "MAX_LAMBDA_PREFIX", 6)
+    codes = [main(["extend", "step", "--kind", "smallexpint", "--iters", "2"]),
+             main(["extend", "step", "--kind", "smallexpint", "--iters", "3"]),
+             main(["suite", "lambda", "--len", "6", "--cases", "2"]),
+             main(["suite", "lambda", "--len", "7", "--cases", "2"])]
+    outs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert codes == [0, 2, 0, 2]
+    assert outs[0]["steps"] == 2 and outs[2]["failures"] == []
+    assert outs[1] == {"error": "step count 3 is above the limit 2"}
+    assert outs[3] == {"error": "lambda prefix length 7 is above the limit 6"}

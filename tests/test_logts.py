@@ -1,6 +1,7 @@
 """Derivation, valuation, and field-law tests for the logarithmic tower."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -26,6 +27,7 @@ from aclab.logts import (
     random_series,
     residue,
     similar,
+    vdiff,
     x_elem,
 )
 from aclab.ogroup import GroupElem, ones, unit
@@ -465,3 +467,67 @@ class TestHashConsing:
         assert product == Monomial(exps)
         assert product.exponents == exps
         assert hash(product) == hash(("mono", exps))
+
+
+def _smaller_term(rng: random.Random, f: Frac) -> Frac:
+    """One term strictly below the leading term of the nonzero f."""
+    mono, _ = f.num.leading()
+    below = Monomial(unit(0).scale(-rng.randint(1, 2)) + unit(rng.randint(1, 3)).scale(rng.randint(-2, 2)))
+    return Frac(Series.monomial(mono * below, rng.choice(logts.COEFF_POOL)))
+
+
+def _other_form(rng: random.Random, f: Frac) -> Frac:
+    """f with numerator and denominator times 1 + (a smaller term): the same
+    element under another denominator."""
+    h = Series.ONE + Series.monomial(Monomial(unit(rng.randint(0, 2)).scale(-1)), rng.choice([1, -2]))
+    return Frac(f.num * h, f.den * h)
+
+
+def _vdiff_pairs(seed: int, count: int) -> list[tuple[Frac, Frac]]:
+    """Random pairs, plus per draw: equal leading terms (under the same and
+    under another denominator), equal denominators, zero operands, and f
+    against itself in another form."""
+    rng = random.Random(seed)
+    pairs = [(Frac.ZERO, Frac.ZERO)]
+    for _ in range(count):
+        f, g = random_frac(rng, allow_zero=True), random_frac(rng, allow_zero=True)
+        pairs += [(f, g), (f, Frac(g.num, f.den)), (f, Frac.ZERO), (Frac.ZERO, g)]
+        if not f.is_zero():
+            near = f + _smaller_term(rng, f)
+            pairs += [(f, near), (near, f), (f, _other_form(rng, near)), (f, _other_form(rng, f)),
+                      (f, _other_form(rng, f.scale(rng.choice(logts.COEFF_POOL))))]
+    return pairs
+
+
+class TestDifferenceKernel:
+    def test_vdiff_is_the_valuation_and_sign_of_the_difference(self):
+        leads = Counter()
+        for f, g in _vdiff_pairs(seed=41, count=150):
+            diff = f - g
+            assert vdiff(f, g) == (diff.valuation(), diff.sign()), (f, g)
+            assert (f < g, f <= g, f > g, f >= g) == (
+                diff.sign() < 0, diff.sign() <= 0, diff.sign() > 0, diff.sign() >= 0)
+            if not f.is_zero() and not g.is_zero():
+                (mf, cf), (mg, cg) = f.num.leading(), g.num.leading()
+                leads[mf != mg, cf != cg, f.den == g.den] += 1
+                assert similar(f, g) == (diff.valuation() > f.valuation())
+        # Every branch of the kernel is reached: monomials differ; monomials
+        # agree, coefficients differ; leading terms equal, with the same and
+        # with different denominators.
+        assert sum(n for (mono, _, _), n in leads.items() if mono) >= 50
+        assert leads[False, True, False] + leads[False, True, True] >= 50
+        assert leads[False, False, True] >= 50 and leads[False, False, False] >= 50
+
+    def test_equal_leading_terms_read_below_the_lead(self):
+        f = Frac(Series({Monomial(V("[1]")): 2, Monomial(V("[0, 1]")): 3}))
+        g = Frac(Series({Monomial(V("[1]")): 2, Monomial(V("[0, 1]")): 5}), Series.ONE)
+        assert vdiff(f, g) == (V("[0, -1]"), -1)
+        assert vdiff(f, f) == (INFINITY, 0)
+        assert vdiff(f, Frac.ZERO) == (V("[-1]"), 1)
+        assert vdiff(Frac.ZERO, f) == (V("[-1]"), -1)
+
+    def test_logderiv_is_the_derivative_over_the_element(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            f = random_frac(rng)
+            assert logderiv(f) == f.derivative() / f, f

@@ -1,10 +1,11 @@
 """Pseudocauchy prefixes, the lambda sequence, and rational images."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from aclab.logts import Frac, ell
+from aclab.logts import Frac, ell, random_frac
 from aclab.ogroup import GroupElem, ones, unit
 from aclab.pcseq import (
     INCONCLUSIVE,
@@ -13,6 +14,7 @@ from aclab.pcseq import (
     YES,
     PCSeq,
     RatFunc,
+    _widths,
     equivalent_prefix,
     is_pc_prefix,
     kaplansky_check,
@@ -209,3 +211,32 @@ class TestKaplansky:
         report = kaplansky_suite(max_degree=1)
         assert report.ok
         assert report.cases == 50
+
+
+class TestDifferenceKernelRoute:
+    """The widths and witnesses read through ``logts.vdiff`` agree with
+    valuations of the differences formed in full."""
+
+    def test_widths_of_shipped_pairs_and_their_images(self):
+        family = [r for r in R_FAMILY if r.degree() <= 3 and not r.is_constant()]
+        assert len(family) == 27
+        checked = 0
+        for _, seq, _ in shipped_pairs():
+            for points in [seq.points] + [tuple(r(p) for p in seq.points) for r in family]:
+                expect = [(points[i + 1] - points[i]).valuation() for i in range(len(points) - 1)]
+                assert _widths(PCSeq(points)) == expect
+                checked += 1
+        assert checked == 10 * 28
+
+    def test_lambda_witness_against_the_sum(self):
+        rng = random.Random(7)
+        xi = ell(0).inv()
+        seen = set()
+        for _ in range(150):
+            # -lambda_k plus a random smaller tail parts at varied indices.
+            s = -lambda_term(rng.randint(0, 10)) + random_frac(rng) * xi ** rng.randint(1, 3)
+            expect = next((n for n in range(13)
+                           if (s + lambda_term(n)).valuation() <= ones(n + 1)), None)
+            assert lambda_free_witness(s, 12) == expect
+            seen.add(expect)
+        assert len(seen) >= 10
