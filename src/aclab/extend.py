@@ -138,17 +138,25 @@ def _defect(sc: ExtScenario, w: Frac) -> Frac:
 def s_value(sc: ExtScenario, w: Frac) -> GroupElem:
     """The valuation realized by a witness; exact, and never infinite on
     the shipped scenarios."""
-    v = _defect(sc, w).valuation()
+    return _realized(_defect(sc, w))
+
+
+def _realized(h: Frac) -> GroupElem:
+    v = h.valuation()
     if not isinstance(v, GroupElem):
         raise ValueError("witness integrates s exactly; scenario certificate violated")
     return v
 
 
 def initial_witness(sc: ExtScenario) -> Witness:
-    if sc.kind == BIG_INT:
-        eps = sc.g
-        return Witness(eps, s_value(sc, eps))
-    return Witness(Frac.ZERO, s_value(sc, Frac.ZERO))
+    return _seed(sc)[0]
+
+
+def _seed(sc: ExtScenario) -> tuple[Witness, Frac]:
+    """The initial witness and its defect."""
+    eps = sc.g if sc.kind == BIG_INT else Frac.ZERO
+    h = _defect(sc, eps)
+    return Witness(eps, _realized(h)), h
 
 
 def _monomial_frac(valuation: GroupElem) -> Frac:
@@ -170,12 +178,21 @@ def yardstick_step(sc: ExtScenario, w: Witness, window: Optional[GroupElem] = No
     below the bound, so only the finitely many original defect terms can
     be visited and the loop terminates.
     """
+    return _step(sc, w, None, window)[0]
+
+
+def _step(sc: ExtScenario, w: Witness, h: Optional[Frac],
+          window: Optional[GroupElem]) -> tuple[Witness, Frac]:
+    """``yardstick_step``, also returning the new witness's defect.  ``h`` is
+    w's defect when the caller has computed it and checked it against
+    w.gamma (a seed or an earlier step); None recomputes and checks it."""
     if sc.kind == BIG_INT and not w.gamma > sc.s_valuation():
         raise ValueError("big-integral steps need gamma above v(s)")
-    h = _defect(sc, w.eps)
-    got = h.valuation()
-    if got != w.gamma:
-        raise ValueError(f"stale witness: realizes {got}, claims {w.gamma}")
+    if h is None:
+        h = _defect(sc, w.eps)
+        got = h.valuation()
+        if got != w.gamma:
+            raise ValueError(f"stale witness: realizes {got}, claims {w.gamma}")
     bound = step_bound(w.gamma)
     eps, cur = w.eps, w.gamma
     for _ in range(10000):
@@ -195,7 +212,7 @@ def yardstick_step(sc: ExtScenario, w: Witness, window: Optional[GroupElem] = No
                 f"step certificate failed: kill at {cur} realized {new_gamma}")
         cur = new_gamma
         if cur >= bound:
-            return Witness(eps, cur)
+            return Witness(eps, cur), h
     raise ValueError(f"step did not reach the bound {bound} from {w.gamma}")
 
 
@@ -204,13 +221,13 @@ def chain(sc: ExtScenario, steps: int) -> list[Witness]:
     at the seed witness and has one entry per verified step."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    w = initial_witness(sc)
+    w, h = _seed(sc)
     window = None
     if sc.kind == SMALL_EXP_INT:
         window = integrate(w.gamma + unit(1).scale(steps + 8))
     out = [w]
     for _ in range(steps):
-        w = yardstick_step(sc, w, window=window)
+        w, h = _step(sc, w, h, window)
         out.append(w)
     return out
 
@@ -231,7 +248,7 @@ def construct_witness(sc: ExtScenario, gamma: GroupElem) -> Witness:
     and then placing one fresh monomial whose derivative lands on it."""
     if not member(sc, gamma):
         raise ValueError(f"{gamma} is not in the scenario set")
-    w = initial_witness(sc)
+    w, h = _seed(sc)
     if gamma == w.gamma:
         return w
     if gamma < w.gamma:
@@ -241,7 +258,7 @@ def construct_witness(sc: ExtScenario, gamma: GroupElem) -> Witness:
         window = integrate(gamma + unit(1).scale(8))
     limit = 4096
     while w.gamma < gamma:
-        w = yardstick_step(sc, w, window=window)
+        w, h = _step(sc, w, h, window)
         limit -= 1
         if limit == 0:
             raise ValueError("witness ladder failed to pass the target")

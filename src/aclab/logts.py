@@ -25,7 +25,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from .acouple import Report, integrate, psi
-from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, _from_items, as_rat, ones, unit
+from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, _from_items, _merge, as_rat, ones, unit
 
 
 # Monomials are hash-consed (Filliatre & Conchon, "Type-safe modular
@@ -34,7 +34,9 @@ from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, _from_items, as_rat,
 # Both tables are emptied together when either reaches its cap, which bounds
 # their memory.  A monomial built before a clear is then a different object
 # from an equal one built after it, so equality falls back to comparing
-# exponent vectors and no result depends on which instance is used.
+# exponent vectors and no result depends on which instance is used.  The
+# Series kernels read ``_products`` themselves and call ``Monomial.__mul__``
+# only on a miss, which interns the sum of the two exponent triples directly.
 INTERN_CAP = 1024
 PRODUCT_CAP = 4 * INTERN_CAP
 
@@ -58,17 +60,7 @@ class Monomial:
     ONE: "Monomial"
 
     def __new__(cls, exponents: GroupElem = GroupElem.ZERO) -> "Monomial":
-        key = exponents.key
-        mono = _interned.get(key)
-        if mono is None:
-            if len(_interned) >= INTERN_CAP:
-                _clear_tables()
-            mono = object.__new__(cls)
-            object.__setattr__(mono, "exponents", exponents)
-            object.__setattr__(mono, "_hash", hash(("mono", exponents)))
-            object.__setattr__(mono, "_derivative", None)
-            _interned[key] = mono
-        return mono
+        return _intern(exponents)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Monomial is immutable")
@@ -83,7 +75,7 @@ class Monomial:
             return hit[2]
         if len(_products) >= PRODUCT_CAP:
             _clear_tables()
-        product = Monomial(self.exponents + other.exponents)
+        product = _intern(_merge(self.exponents.key, other.exponents.key, False))
         _products[key] = (self, other, product)
         return product
 
@@ -136,6 +128,21 @@ class Monomial:
         return "*".join(parts)
 
 
+def _intern(exponents: GroupElem) -> Monomial:
+    """The live monomial for ``exponents``, made and registered if absent."""
+    key = exponents.key
+    mono = _interned.get(key)
+    if mono is None:
+        if len(_interned) >= INTERN_CAP:
+            _clear_tables()
+        mono = object.__new__(Monomial)
+        object.__setattr__(mono, "exponents", exponents)
+        object.__setattr__(mono, "_hash", hash(("mono", exponents)))
+        object.__setattr__(mono, "_derivative", None)
+        _interned[key] = mono
+    return mono
+
+
 Monomial.ONE = Monomial()
 
 
@@ -169,10 +176,11 @@ class Series:
     is ``({}, 1)``.  Arithmetic runs on ints, and ``Fraction`` appears only
     at the API (``terms``, ``leading``, ``sorted_terms`` and the printers).
     The leading term is the one of minimal valuation, i.e. maximal exponent
-    vector, and is unique because the monomial order is total.
+    vector, and is unique because the monomial order is total.  The leading
+    term and the derivative are each computed once, on first use, and kept.
     """
 
-    __slots__ = ("_nums", "_den", "_lead")
+    __slots__ = ("_nums", "_den", "_lead", "_deriv")
 
     ZERO: "Series"
     ONE: "Series"
@@ -255,7 +263,7 @@ class Series:
 
     def mul_term(self, mono: Monomial, coeff: RatLike = 1) -> "Series":
         qn, qd = _int_pair(coeff)
-        return _series({m * mono: n * qn for m, n in self._nums.items()}, self._den * qd)
+        return _series(_shifted(self._nums, mono, qn), self._den * qd)
 
     def __mul__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
@@ -263,6 +271,11 @@ class Series:
         a, b = self._nums, other._nums
         if not a or not b:
             return Series.ZERO
+        # 1 * s = s, and series are immutable, so the operand itself serves.
+        if _is_one(other):
+            return self
+        if _is_one(self):
+            return other
         if len(a) * len(b) > MAX_TERM_PAIRS:
             raise BudgetExceeded(
                 f"a product of {len(a)} by {len(b)} terms is above the budget of {MAX_TERM_PAIRS} term pairs")
@@ -271,25 +284,32 @@ class Series:
             a, b = b, a
         if len(b) == 1:
             ((mb, nb),) = b.items()
-            return _series({ma * mb: na * nb for ma, na in a.items()}, den)
+            return _series(_shifted(a, mb, nb), den)
         acc: dict[Monomial, int] = {}
         get = acc.get
+        products = _products
         for mb, nb in b.items():
+            ib = id(mb)
             for ma, na in a.items():
-                key = ma * mb
+                hit = products.get((id(ma), ib))
+                key = hit[2] if hit is not None else ma * mb
                 acc[key] = get(key, 0) + na * nb
         return _series(acc, den)
 
     def derivative(self) -> "Series":
-        nums = self._nums
-        # The coefficients of m' are m's exponents: one common denominator
-        # for all of them scales every term to an integer.
-        scale = lcm(*(d for mono in nums for _, _, d in mono.exponents.key))
-        acc: dict[Monomial, int] = {}
-        for mono, n in nums.items():
-            for dm, rn, rd in mono._derivative_triples():
-                acc[dm] = acc.get(dm, 0) + n * rn * (scale // rd)
-        return _series(acc, self._den * scale)
+        out = self._deriv
+        if out is None:
+            nums = self._nums
+            # The coefficients of m' are m's exponents: one common denominator
+            # for all of them scales every term to an integer.
+            scale = lcm(*(d for mono in nums for _, _, d in mono.exponents.key))
+            acc: dict[Monomial, int] = {}
+            for mono, n in nums.items():
+                for dm, rn, rd in mono._derivative_triples():
+                    acc[dm] = acc.get(dm, 0) + n * rn * (scale // rd)
+            out = _series(acc, self._den * scale)
+            object.__setattr__(self, "_deriv", out)
+        return out
 
     def truncate_below(self, bound: GroupElem) -> "Series":
         """Drop terms with valuation strictly above ``bound``."""
@@ -345,6 +365,25 @@ def _series(nums: dict[Monomial, int], den: int) -> Series:
     object.__setattr__(out, "_nums", nums)
     object.__setattr__(out, "_den", den)
     object.__setattr__(out, "_lead", None)
+    object.__setattr__(out, "_deriv", None)
+    return out
+
+
+def _is_one(s: Series) -> bool:
+    """Whether s is the unit series: one term, monomial 1, numerator 1, ``_den == 1``."""
+    nums = s._nums
+    return len(nums) == 1 and s._den == 1 and nums.get(Monomial.ONE) == 1
+
+
+def _shifted(nums: dict[Monomial, int], mono: Monomial, factor: int) -> dict[Monomial, int]:
+    """``{m * mono: n * factor}``; the products are distinct because the
+    monomials of ``nums`` are."""
+    products = _products
+    im = id(mono)
+    out: dict[Monomial, int] = {}
+    for m, n in nums.items():
+        hit = products.get((id(m), im))
+        out[hit[2] if hit is not None else m * mono] = n * factor
     return out
 
 

@@ -179,7 +179,8 @@ def equivalent_prefix(a: PCSeq, b: PCSeq) -> SeqVerdict:
 # The lambda sequence.
 
 # Bounded, yet large enough to hold the lambda suite's default prefix (12)
-# and every `aclab lambda n` up to n = 31 at once.
+# and every `aclab lambda n` up to n = 31 at once.  The perturbed terms below
+# are cached the same way.
 LAMBDA_CACHE_SIZE = 32
 
 
@@ -205,11 +206,13 @@ def lambda_seq(count: int) -> PCSeq:
 def perturbed_lambda_seq(count: int) -> PCSeq:
     """Same construction applied to m_n = ln (1 + l_{n+1}^-1); the widths
     match lambda's and the cross differences sit above them."""
-    points = []
-    for n in range(count):
-        m = ell(n) * (Frac.ONE + ell(n + 1).inv())
-        points.append(-logderiv(logderiv(m)))
-    return PCSeq(tuple(points))
+    return PCSeq(tuple(_perturbed_term(n) for n in range(count)))
+
+
+@lru_cache(maxsize=LAMBDA_CACHE_SIZE)
+def _perturbed_term(n: int) -> Frac:
+    m = ell(n) * (Frac.ONE + ell(n + 1).inv())
+    return -logderiv(logderiv(m))
 
 
 def lambda_free_witness(s: Frac, limit: int) -> Optional[int]:

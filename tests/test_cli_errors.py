@@ -151,3 +151,37 @@ def test_step_and_prefix_caps_admit_their_bound(capsys, monkeypatch):
     assert outs[0]["steps"] == 2 and outs[2]["failures"] == []
     assert outs[1] == {"error": "step count 3 is above the limit 2"}
     assert outs[3] == {"error": "lambda prefix length 7 is above the limit 6"}
+
+
+def test_suite_case_caps_admit_their_bound(capsys, monkeypatch):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    # Defaults stay inside the caps, and so do perfbench's chunks: 25 cases of
+    # couple, couple-gap and identities, 1 of field, 100 of exclusion and
+    # lambda, and 5 of each extend suite.
+    for name, (_, default, cap) in cli.SUITES.items():
+        assert cap is None or max(default, 100) <= cap, name
+    capped = [name for name, (_, _, cap) in cli.SUITES.items() if cap is not None]
+    assert "grid" not in capped and "couple" in capped
+    for name in capped:
+        run, default, _ = cli.SUITES[name]
+        monkeypatch.setitem(cli.SUITES, name, (run, default, 2))
+        codes = [main(["suite", name, "--cases", "2"]), main(["suite", name, "--cases", "3"])]
+        ran, refused = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert codes == [0, 2], name
+        assert ran["failures"] == [], name
+        assert refused == {"error": f"case count 3 is above the limit 2 of suite {name}"}
+
+
+def test_case_cap_is_a_json_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    code = main(["suite", "couple", "--cases", "10000000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out) == {
+        "error": f"case count 10000000 is above the limit {cli.SUITES['couple'][2]} of suite couple"}
+
+
+def test_fixed_size_suites_ignore_the_case_count(capsys, monkeypatch):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    assert main(["suite", "grid", "--cases", "10000000"]) == 0
+    assert json.loads(capsys.readouterr().out)["cases"] == 343

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from aclab import extend
+from aclab.acouple import integrate
 from aclab.extend import (
     BIG_INT,
     KINDS,
@@ -25,7 +27,7 @@ from aclab.extend import (
     yardstick_step,
 )
 from aclab.logts import Frac, ell, x_elem
-from aclab.ogroup import GroupElem
+from aclab.ogroup import GroupElem, unit
 
 V = GroupElem.parse
 
@@ -173,3 +175,55 @@ class TestStructureSuite:
         assert data["s"] == "x^-2*l1^-1"
         assert len(data["gammas"]) == 5
         assert data["gammas"][0] == [2, 1]
+
+
+def _chain_by_public_steps(kind: str, steps: int) -> list[Witness]:
+    """The chain rebuilt through the public step, which re-derives and
+    checks each witness's defect."""
+    sc = example(kind)
+    w = initial_witness(sc)
+    window = None
+    if kind == SMALL_EXP_INT:
+        window = integrate(w.gamma + unit(1).scale(steps + 8))
+    out = [w]
+    for _ in range(steps):
+        w = yardstick_step(sc, w, window=window)
+        out.append(w)
+    return out
+
+
+class TestDefectPassedAlong:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_chain_matches_public_steps(self, kind):
+        got = chain(example(kind), 40)
+        expect = _chain_by_public_steps(kind, 40)
+        assert [w.gamma for w in got] == [w.gamma for w in expect]
+        assert [str(w.eps) for w in got] == [str(w.eps) for w in expect]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_defect_per_kill_plus_the_seed(self, kind, monkeypatch):
+        counts = {"defect": 0, "kill": 0}
+        defect, monomial_frac = extend._defect, extend._monomial_frac
+
+        def counted_defect(sc, w):
+            counts["defect"] += 1
+            return defect(sc, w)
+
+        def counted_kill(valuation):
+            counts["kill"] += 1
+            return monomial_frac(valuation)
+
+        monkeypatch.setattr(extend, "_defect", counted_defect)
+        monkeypatch.setattr(extend, "_monomial_frac", counted_kill)
+        chain(example(kind), 20)
+        assert counts["kill"] >= 20
+        assert counts["defect"] == counts["kill"] + 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_doctored_witness_is_stale(self, kind):
+        sc = example(kind)
+        w = chain(sc, 5)[-1]
+        with pytest.raises(ValueError, match="stale witness"):
+            yardstick_step(sc, Witness(w.eps, w.gamma + unit(4)))
+        with pytest.raises(ValueError, match="stale witness"):
+            yardstick_step(sc, Witness(w.eps + chain(sc, 3)[-1].eps, w.gamma))

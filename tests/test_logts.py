@@ -531,3 +531,76 @@ class TestDifferenceKernel:
         for _ in range(200):
             f = random_frac(rng)
             assert logderiv(f) == f.derivative() / f, f
+
+
+def _unit_samples(seed: int, count: int) -> list[Series]:
+    rng = random.Random(seed)
+    return [random_series(rng, max_terms=4, allow_zero=True) for _ in range(count)] + [Series.ZERO]
+
+
+class TestUnitFactor:
+    def test_unit_factor_returns_the_operand(self):
+        for s in _unit_samples(seed=29, count=300):
+            for product in (s * Series.ONE, Series.ONE * s):
+                assert product == s and product._den == s._den
+                assert _key_terms(product) == _reference_product(s, Series.ONE)
+            if not s.is_zero():
+                assert s * Series.ONE is s and Series.ONE * s is s
+
+    def test_unit_built_after_a_clear_is_a_unit(self):
+        logts._clear_tables()
+        s = random_series(random.Random(31), max_terms=4)
+        _distinct_monomials(logts.INTERN_CAP + 1)
+        unit_again = Series.monomial(Monomial(GroupElem.ZERO))
+        assert unit_again.leading()[0] is not Monomial.ONE
+        assert s * unit_again is s and unit_again * s is s
+
+    def test_near_units_multiply_in_full(self):
+        near = [Series.from_rat(2), Series.from_rat(-1), Series.from_rat(Fraction(1, 2)),
+                Series.monomial(Monomial(V("[1]"))), Series.from_rat(1) + Series.monomial(Monomial(V("[0, 1]")))]
+        for s in _unit_samples(seed=37, count=100):
+            for u in near:
+                assert _key_terms(s * u) == _reference_product(s, u)
+                assert _key_terms(u * s) == _reference_product(u, s)
+
+    def test_frac_times_one_is_the_operand(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            f = random_frac(rng, allow_zero=True)
+            for product in (f * Frac.ONE, Frac.ONE * f):
+                assert product == f
+                assert product.num == f.num and product.num._den == f.num._den
+                assert product.den == f.den and product.den._den == f.den._den
+
+
+class TestDerivativeSlot:
+    def test_first_and_repeated_calls_match_the_reference(self):
+        for s in _unit_samples(seed=43, count=300):
+            first = s.derivative()
+            assert _key_terms(first) == _reference_derivative(s)
+            assert s.derivative() is first
+            assert _key_terms(first.derivative()) == _reference_derivative(first)
+
+    def test_each_result_has_its_own_derivative(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            s, t = random_series(rng, max_terms=4), random_series(rng, max_terms=4)
+            m = logts.random_monomial(rng)
+            s.derivative()
+            for r in (s + t, s - t, -s, s.scale(3), s.mul_term(m, 2), s * t, t * s,
+                      s.truncate_below(GroupElem.ZERO)):
+                assert _key_terms(r.derivative()) == _reference_derivative(r)
+
+    def test_slot_across_a_clear_with_tiny_caps(self, monkeypatch):
+        monkeypatch.setattr(logts, "INTERN_CAP", 8)
+        monkeypatch.setattr(logts, "PRODUCT_CAP", 16)
+        logts._clear_tables()
+        samples = _unit_samples(seed=53, count=80)
+        firsts = [s.derivative() for s in samples]
+        _distinct_monomials(9)
+        for s, first in zip(samples, firsts):
+            again = s.derivative()
+            assert again is first
+            assert _key_terms(again) == _reference_derivative(s)
+            assert s.derivative() == Series(s.terms).derivative()
+        assert len(logts._interned) <= 8 and len(logts._products) <= 16

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from aclab.logts import Frac, ell, random_frac
+from aclab import pcseq
+from aclab.logts import Frac, ell, logderiv, random_frac
 from aclab.ogroup import GroupElem, ones, unit
 from aclab.pcseq import (
     INCONCLUSIVE,
@@ -240,3 +241,17 @@ class TestDifferenceKernelRoute:
             assert lambda_free_witness(s, 12) == expect
             seen.add(expect)
         assert len(seen) >= 10
+
+
+class TestPerturbedTermCache:
+    def test_cached_terms_equal_terms_built_without_the_cache(self):
+        uncached = [-logderiv(logderiv(ell(n) * (Frac.ONE + ell(n + 1).inv()))) for n in range(14)]
+        cached = perturbed_lambda_seq(14).points
+        assert len(cached) == 14
+        for a, b in zip(cached, uncached):
+            assert a == b and str(a) == str(b)
+        assert all(a is b for a, b in zip(cached, perturbed_lambda_seq(14).points))
+
+    def test_cache_is_bounded_like_the_lambda_terms(self):
+        assert pcseq._perturbed_term.cache_info().maxsize == pcseq.LAMBDA_CACHE_SIZE
+        assert lambda_term.cache_info().maxsize == pcseq.LAMBDA_CACHE_SIZE
