@@ -1,10 +1,10 @@
 """ns/op medians for the field kernels under the logts products.
 
-    python3 tools/kernels.py --out BENCH.json [--src DIR] [--repeats N]
+    python3 tools/kernels.py --out BENCH.json [--src DIR]
 
 Imports aclab from DIR (default: this checkout's src/), so the same script
 times another checkout.  Each kernel runs a batch of ops per repeat; the
-printed and written figure is the median over repeats of the batch's
+printed and written figure is the median over REPEATS repeats of the batch's
 thread CPU time divided by its op count (CPU time, so that time the
 thread spends preempted on a shared host does not count).  Inputs are
 seeded and the same on every checkout.  Kernels:
@@ -32,6 +32,7 @@ import time
 from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPEATS = 21
 BATCH = 200
 GENERAL_BATCH = 30
 
@@ -110,7 +111,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the aclab package to time")
-    parser.add_argument("--repeats", type=int, default=21)
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from aclab import logts, pcseq
@@ -126,9 +126,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     results = {}
     for name, (module, kernel) in kernels.items():
-        samples = [kernel(module, rep) for rep in range(args.repeats)]
+        samples = [kernel(module, rep) for rep in range(REPEATS)]
         batch = {"lambda_chunk": 1, "series_mul_general": GENERAL_BATCH}.get(name, BATCH)
-        results[name] = {"ns_per_op": statistics.median(samples), "repeats": args.repeats,
+        results[name] = {"ns_per_op": statistics.median(samples), "repeats": REPEATS,
                          "batch": batch}
         print(f"{name:20s} {results[name]['ns_per_op']:14,.0f} ns/op")
     payload = {
