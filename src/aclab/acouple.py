@@ -190,6 +190,17 @@ COEFF_POOL = [
 ]
 
 
+def _below(bits, n: int) -> int:
+    """A uniform int in [0, n) from ``bits = rng.getrandbits``, by the draws
+    CPython's ``Random`` makes for ``randrange(n)``: ``getrandbits(k)`` with
+    k = n.bit_length() until the value is below n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def sample_elem(
     rng: random.Random,
     max_index: int = 12,
@@ -197,10 +208,41 @@ def sample_elem(
     allow_zero: bool = True,
 ) -> GroupElem:
     """Seeded sampling per the package-wide distribution: support size at
-    most 6, indices at most 12, coefficient magnitudes at most 16."""
-    size = rng.randint(0 if allow_zero else 1, max_support)
-    indices = rng.sample(range(max_index + 1), min(size, max_index + 1))
-    return _from_items(tuple(sorted((i, *rng.choice(COEFF_POOL)) for i in indices)))
+    most 6, indices at most 12, coefficient magnitudes at most 16.
+
+    The draws come straight from ``rng.getrandbits``; they are the ones
+    ``randint`` (the support size), ``sample`` (the indices, in both of its
+    branches) and ``choice`` (the coefficients) make, so values and the
+    generator state after each draw equal those of the stdlib calls
+    (pinned by tests/test_sampling.py)."""
+    bits = rng.getrandbits
+    low = 0 if allow_zero else 1
+    if max_support < low:
+        raise ValueError(f"empty range for the support size: [{low}, {max_support}]")
+    n = max_index + 1
+    k = min(low + _below(bits, max_support + 1 - low), n)
+    if k < 0:
+        raise ValueError(f"negative index bound {max_index}")
+    # Random.sample keeps a pool list when it is smaller than a k-set: the
+    # set costs 21 slots, plus the smallest power of 4 >= 3k when k > 5.
+    setsize = 21 if k <= 5 else 21 + 4 ** (((3 * k - 1).bit_length() + 1) // 2)
+    indices = []
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            j = _below(bits, n - i)
+            indices.append(pool[j])
+            pool[j] = pool[n - i - 1]
+    else:
+        selected: set[int] = set()
+        for _ in range(k):
+            j = _below(bits, n)
+            while j in selected:
+                j = _below(bits, n)
+            selected.add(j)
+            indices.append(j)
+    pool_len = len(COEFF_POOL)
+    return _from_items(tuple(sorted((i, *COEFF_POOL[_below(bits, pool_len)]) for i in indices)))
 
 
 def sample_nonzero(rng: random.Random, max_index: int = 12) -> GroupElem:
@@ -216,12 +258,16 @@ DQ_POOL = [Fraction(q) for q in (0, 0, 1, -1, "1/2", "-3/2", 2)]
 def sample_ext(rng: random.Random) -> ExtElem:
     """Sample in the delta extension; about half the draws leave the base group."""
     base = sample_elem(rng)
-    return ExtElem(base, rng.choice(DQ_POOL))
+    return ExtElem(base, DQ_POOL[_below(rng.getrandbits, len(DQ_POOL))])
 
 
 def _ext_psi_pair(rng: random.Random) -> ExtElem:
     g = sample_ext(rng)
     return g if not g.is_zero() else DELTA
+
+
+# The nonzero integers k that AC2 scales by.
+AXIOM_SCALES = (-5, -3, -2, -1, 1, 2, 3, 7)
 
 
 def verify_couple_axioms(
@@ -248,7 +294,7 @@ def verify_couple_axioms(
 
     for case in report.each(sample_size):
         a, b = draw(), draw()
-        k = rng.choice([-5, -3, -2, -1, 1, 2, 3, 7])
+        k = AXIOM_SCALES[_below(rng.getrandbits, len(AXIOM_SCALES))]
         pa, pb = psi(a), psi(b)
         s = a + b
         ps = psi(s)
@@ -281,9 +327,9 @@ def identity_suite(sample_size: int, seed: int) -> Report:
         b = sample_elem(rng)
         g = sample_nonzero(rng)
 
-        if integrate(a) != a - successor(a):
+        ia, sa, sb = integrate(a), successor(a), successor(b)
+        if ia != a - sa:
             report.fail("integral", case, a=a)
-        sa, sb = successor(a), successor(b)
         if sa < sb and psi(b - a) != sa:
             report.fail("successor-compare", case, a=a, b=b)
         # Fixed point law: beta = psi(a - beta) exactly for beta = successor(a).
@@ -304,8 +350,8 @@ def identity_suite(sample_size: int, seed: int) -> Report:
                 report.fail("contraction-monotone", case, a=lo, b=hi)
         # Overspill: from integrate(a) < 0, stepping by multiples of the
         # successor gap crosses to positive integrals for n >= 1.
-        if integrate(a) < GroupElem.ZERO:
-            gap = successor(a) - a
+        if ia < GroupElem.ZERO:
+            gap = sa - a
             for n in (1, 2, 3):
                 if not integrate(a + gap.scale(n + 1)) > GroupElem.ZERO:
                     report.fail("overspill", case, a=a, n=n)
@@ -313,16 +359,18 @@ def identity_suite(sample_size: int, seed: int) -> Report:
         dg = der(g)
         if integrate(dg - integrate(successor(dg))) != g - chi(g):
             report.fail("yardstick-telescope", case, g=g)
-        ig = integrate(a)
-        if ig > GroupElem.ZERO:
-            neg_int_succ = -integrate(successor(a))
-            if not (ig > neg_int_succ and neg_int_succ == -chi(ig) and neg_int_succ > GroupElem.ZERO):
+        if ia > GroupElem.ZERO:
+            neg_int_succ = -integrate(sa)
+            if not (ia > neg_int_succ and neg_int_succ == -chi(ia) and neg_int_succ > GroupElem.ZERO):
                 report.fail("yardstick-bound", case, a=a)
         # The gain -integrate(successor(.)) is monotone on elements whose
         # integral is positive; without that restriction it is not.
-        lo, hi = (a, b) if a <= b else (b, a)
-        if integrate(lo) > GroupElem.ZERO:
-            if -integrate(successor(lo)) > -integrate(successor(hi)):
+        if a <= b:
+            lo, hi, ilo, slo, shi = a, b, ia, sa, sb
+        else:
+            lo, hi, ilo, slo, shi = b, a, integrate(b), sb, sa
+        if ilo > GroupElem.ZERO:
+            if -integrate(slo) > -integrate(shi):
                 report.fail("yardstick-monotone", case, a=lo, b=hi)
     return report
 

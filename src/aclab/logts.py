@@ -157,7 +157,8 @@ def _exp_text(e: Fraction) -> str:
 
 
 class BudgetExceeded(ValueError):
-    """A Series product would form more than MAX_TERM_PAIRS term pairs."""
+    """A Series product would form more than MAX_TERM_PAIRS term pairs, or a
+    Frac power coefficients of more than MAX_COEFF_BITS bits."""
 
 
 # A Series product forms one term pair per pair of terms of its factors.  At
@@ -165,6 +166,12 @@ class BudgetExceeded(ValueError):
 # on a shared host whose speed varies about twofold); the suites' largest
 # products form a few thousand pairs.
 MAX_TERM_PAIRS = 300_000
+
+# A power f^p multiplies p copies of f, so its coefficients have at most
+# p * _coeff_bits(f) bits.  At this cap the largest allowed powers take
+# 1.0-2.1 s ((16/17)^120000, (3/4)^300000, (255/256)^75000; 2 cores,
+# CPython 3.11), most of it in the gcds that keep each result reduced.
+MAX_COEFF_BITS = 600_000
 
 
 class Series:
@@ -414,6 +421,15 @@ class Dominance(Enum):
     STRICTLY_DOMINATES = "strictly-dominates"
 
 
+def _coeff_bits(f: "Frac") -> int:
+    """ceil(log2) of the largest factor a power of f can put on its integers
+    per copy of f: each series' denominator, or its term count times its
+    largest numerator.  Zero for monomials with coefficient 1."""
+    return max(
+        (max(s._den, len(s._nums) * max(map(abs, s._nums.values()), default=0)) - 1).bit_length()
+        for s in (f.num, f.den))
+
+
 class Frac:
     """A quotient of two series in normal form.
 
@@ -498,6 +514,11 @@ class Frac:
     def __pow__(self, power: int) -> "Frac":
         if power < 0:
             return self.inv() ** (-power)
+        bits = power * _coeff_bits(self) if power > 1 else 0
+        if bits > MAX_COEFF_BITS:
+            raise BudgetExceeded(
+                f"a power {power} would form coefficients of up to {bits} bits, "
+                f"above the budget of {MAX_COEFF_BITS} bits")
         out = Frac.ONE
         base = self
         k = power

@@ -1,6 +1,7 @@
 """Every failure of the aclab command ends in one JSON object."""
 
 import json
+import time
 
 import pytest
 
@@ -124,6 +125,22 @@ def test_power_over_the_term_pair_budget_is_a_json_error(capsys, monkeypatch):
     assert json.loads(captured.out) == {
         "error": f"a product of 561 by 561 terms is above the budget of {logts.MAX_TERM_PAIRS} term pairs"}
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("expr, power", [("(3/4)^1000000", 1000000), ("((3/4)^1000)^1000", 1000)])
+def test_power_over_the_coefficient_budget_is_a_json_error(capsys, monkeypatch, expr, power):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    start = time.perf_counter()
+    code = main(["val", "--", expr])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out) == {
+        "error": f"a power {power} would form coefficients of up to 2000000 bits, "
+                 f"above the budget of {logts.MAX_COEFF_BITS} bits"}
+    assert captured.err == ""
+    assert elapsed < 1.0
 
 
 def test_expression_at_the_bounds_is_evaluated(capsys, monkeypatch):

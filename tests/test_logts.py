@@ -272,6 +272,26 @@ class TestIntegerKernel:
             three * three
         assert issubclass(logts.BudgetExceeded, ValueError)
 
+    def test_power_over_the_coefficient_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(logts, "MAX_COEFF_BITS", 20)
+        q = Frac.from_rat(Fraction(3, 4))
+        # 4^10 has 21 bits; the estimate is 10 * ceil(log2 4) = 20.
+        assert q ** 10 == Frac.from_rat(Fraction(3, 4) ** 10)
+        assert q ** -10 == Frac.from_rat(Fraction(4, 3) ** 10)
+        for power in (11, -11):
+            with pytest.raises(logts.BudgetExceeded, match="a power 11 would form coefficients of up to 22 bits"):
+                q ** power
+        # Nested: 3^5/4^5 costs ceil(log2 1024) = 10 bits per factor.
+        assert (q ** 5) ** 2 == Frac.from_rat(Fraction(3, 4) ** 10)
+        with pytest.raises(logts.BudgetExceeded, match="up to 30 bits"):
+            (q ** 5) ** 3
+        # Coefficient-one monomials cost nothing; a term count does.
+        x = Frac(Series.monomial(Monomial(V("[1]"))))
+        assert (x ** 1000).valuation() == V("[-1000]")
+        assert (x + Frac.ONE) ** 20 == (x + Frac.ONE) ** 10 * (x + Frac.ONE) ** 10
+        with pytest.raises(logts.BudgetExceeded, match="up to 21 bits"):
+            (x + Frac.ONE) ** 21
+
 
 def _printer_before_integer_kernel(terms: dict) -> str:
     """The Series printer as it was when Series stored Fraction terms."""

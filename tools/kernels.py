@@ -1,4 +1,4 @@
-"""ns/op medians for the field kernels under the logts products.
+"""ns/op medians for the kernels under the field and couple suites.
 
     python3 tools/kernels.py --out BENCH.json [--src DIR]
 
@@ -17,6 +17,11 @@ seeded and the same on every checkout.  Kernels:
   derivative_first      s.derivative() on a series not differentiated yet
   derivative_repeat     the same call again on the same series
   lambda_chunk          pcseq.lambda_suite(12, 100, seed), after one warm-up
+  sample_elem           acouple.sample_elem(rng) at its defaults
+  vector_add            a + b on sampled vectors (ogroup._merge)
+  integrate             acouple.integrate(g) on sampled vectors
+  psi                   acouple.psi(g) on sampled vectors
+  identity_chunk        acouple.identity_suite(25, seed), after one warm-up
 """
 
 from __future__ import annotations
@@ -106,6 +111,35 @@ def _lambda_chunk(pcseq, rep: int) -> float:
     return _timed([lambda: pcseq.lambda_suite(12, 100, rep + 2)])
 
 
+def _vectors(acouple, seed: int) -> list:
+    rng = random.Random(seed)
+    return [acouple.sample_elem(rng) for _ in range(BATCH)]
+
+
+def _sample_elem(acouple, rep: int) -> float:
+    rng = random.Random(rep)
+    return _timed([lambda: acouple.sample_elem(rng)] * BATCH)
+
+
+def _vector_add(acouple, rep: int) -> float:
+    pairs = zip(_vectors(acouple, rep), _vectors(acouple, rep + 10_000))
+    return _timed([lambda a=a, b=b: a + b for a, b in pairs])
+
+
+def _integrate(acouple, rep: int) -> float:
+    return _timed([lambda g=g: acouple.integrate(g) for g in _vectors(acouple, rep)])
+
+
+def _psi(acouple, rep: int) -> float:
+    return _timed([lambda g=g: acouple.psi(g) for g in _vectors(acouple, rep)])
+
+
+def _identity_chunk(acouple, rep: int) -> float:
+    if rep == 0:
+        acouple.identity_suite(25, 1)
+    return _timed([lambda: acouple.identity_suite(25, rep + 2)])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -113,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="directory holding the aclab package to time")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from aclab import logts, pcseq
+    from aclab import acouple, logts, pcseq
 
     kernels = {
         "series_mul_unit": (logts, _series_mul_unit),
@@ -123,11 +157,17 @@ def main(argv: list[str] | None = None) -> int:
         "derivative_first": (logts, _derivative_first),
         "derivative_repeat": (logts, _derivative_repeat),
         "lambda_chunk": (pcseq, _lambda_chunk),
+        "sample_elem": (acouple, _sample_elem),
+        "vector_add": (acouple, _vector_add),
+        "integrate": (acouple, _integrate),
+        "psi": (acouple, _psi),
+        "identity_chunk": (acouple, _identity_chunk),
     }
     results = {}
     for name, (module, kernel) in kernels.items():
         samples = [kernel(module, rep) for rep in range(REPEATS)]
-        batch = {"lambda_chunk": 1, "series_mul_general": GENERAL_BATCH}.get(name, BATCH)
+        batch = {"lambda_chunk": 1, "identity_chunk": 1,
+                 "series_mul_general": GENERAL_BATCH}.get(name, BATCH)
         results[name] = {"ns_per_op": statistics.median(samples), "repeats": REPEATS,
                          "batch": batch}
         print(f"{name:20s} {results[name]['ns_per_op']:14,.0f} ns/op")
