@@ -210,11 +210,12 @@ def sample_elem(
     """Seeded sampling per the package-wide distribution: support size at
     most 6, indices at most 12, coefficient magnitudes at most 16.
 
-    The draws come straight from ``rng.getrandbits``; they are the ones
-    ``randint`` (the support size), ``sample`` (the indices, in both of its
-    branches) and ``choice`` (the coefficients) make, so values and the
+    The draws are the ones ``randint`` (the support size), ``sample`` (the
+    indices) and ``choice`` (the coefficients) make, so values and the
     generator state after each draw equal those of the stdlib calls
-    (pinned by tests/test_sampling.py)."""
+    (pinned by tests/test_sampling.py).  They come straight from
+    ``rng.getrandbits``, except that index ranges wider than 21 go to
+    ``rng.sample`` itself."""
     bits = rng.getrandbits
     low = 0 if allow_zero else 1
     if max_support < low:
@@ -223,24 +224,16 @@ def sample_elem(
     k = min(low + _below(bits, max_support + 1 - low), n)
     if k < 0:
         raise ValueError(f"negative index bound {max_index}")
-    # Random.sample keeps a pool list when it is smaller than a k-set: the
-    # set costs 21 slots, plus the smallest power of 4 >= 3k when k > 5.
-    setsize = 21 if k <= 5 else 21 + 4 ** (((3 * k - 1).bit_length() + 1) // 2)
-    indices = []
-    if n <= setsize:
+    if n > 21:
+        indices = rng.sample(range(n), k)
+    else:
+        # The pool swap Random.sample makes for every n <= 21.
+        indices = []
         pool = list(range(n))
         for i in range(k):
             j = _below(bits, n - i)
             indices.append(pool[j])
             pool[j] = pool[n - i - 1]
-    else:
-        selected: set[int] = set()
-        for _ in range(k):
-            j = _below(bits, n)
-            while j in selected:
-                j = _below(bits, n)
-            selected.add(j)
-            indices.append(j)
     pool_len = len(COEFF_POOL)
     return _from_items(tuple(sorted((i, *COEFF_POOL[_below(bits, pool_len)]) for i in indices)))
 

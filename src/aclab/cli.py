@@ -18,6 +18,7 @@ from typing import Optional, Union
 
 from . import extend, pcseq, setprops
 from .acouple import (
+    CoupleDescriptor,
     Report,
     classify_couple,
     closure_count,
@@ -42,6 +43,11 @@ MAX_LAMBDA_INDEX = 300
 # host); both times grow faster than linearly in the count.
 MAX_STEP_ITERS = 350
 MAX_LAMBDA_PREFIX = 64
+# `classify trunc:N` takes time quadratic in N: 1.9-2.5 s at this cap.  D(lN)
+# is dense in N coordinates: near this cap a 400-token sum or product of 80 of
+# them took 1.1-1.3 s (same host); `aclab lambda 300` names generators to l300.
+MAX_TRUNC_BOUND = 4000
+MAX_GENERATOR_INDEX = 10_000
 
 
 class ExprSyntaxError(ValueError):
@@ -252,31 +258,25 @@ class _Parser:
     def exponent(self) -> Fraction:
         # A bare exponent is a possibly signed integer; anything with a
         # denominator needs parentheses, else it would swallow a division.
-        if self.peek().kind == "(":
-            self.take("(")
-            value = self.signed_rational()
-            self.take(")")
-            return value
+        if self.peek().kind != "(":
+            return self.signed_integer()
+        self.take("(")
+        value = self.signed_integer()
+        if self.peek().kind == "/":
+            self.take("/")
+            den = self.take("num")
+            if int(den.text) == 0:
+                raise ExprSyntaxError("zero denominator in exponent", den.pos)
+            value /= int(den.text)
+        self.take(")")
+        return value
+
+    def signed_integer(self) -> Fraction:
         sign = 1
         if self.peek().kind == "-":
             self.take("-")
             sign = -1
         return Fraction(sign * int(self.take("num").text))
-
-    def signed_rational(self) -> Fraction:
-        sign = 1
-        if self.peek().kind == "-":
-            self.take("-")
-            sign = -1
-        num = int(self.take("num").text)
-        if self.peek().kind == "/":
-            self.take("/")
-            den_tok = self.take("num")
-            den = int(den_tok.text)
-            if den == 0:
-                raise ExprSyntaxError("zero denominator in exponent", den_tok.pos)
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
 
     def base(self) -> Ast:
         tok = self.peek()
@@ -293,6 +293,9 @@ class _Parser:
                 index = int(tok.text[1:])
                 if index < 1:
                     raise ExprSyntaxError("generator indices start at l1", tok.pos)
+                if index > MAX_GENERATOR_INDEX:
+                    raise ExprSyntaxError(
+                        f"generator index {index} is above the limit {MAX_GENERATOR_INDEX}", tok.pos)
                 return Gen(index)
             raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.pos)
         if tok.kind == "(":
@@ -559,10 +562,10 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        result = classify_couple(args.couple, seed=args.seed)
-    except ValueError as exc:
-        raise ExprSemanticError(str(exc)) from None
+    couple = CoupleDescriptor.parse(args.couple)
+    if couple.kind == "trunc" and couple.n > MAX_TRUNC_BOUND:
+        raise ExprSemanticError(f"truncation bound {couple.n} is above the limit {MAX_TRUNC_BOUND}")
+    result = classify_couple(couple, seed=args.seed)
     payload = result.to_dict()
     if args.lambda_free is not None:
         payload["closures"] = closure_count(result, args.lambda_free)

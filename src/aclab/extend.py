@@ -163,6 +163,18 @@ def _monomial_frac(valuation: GroupElem) -> Frac:
     return Frac(Series.monomial(Monomial(-valuation)))
 
 
+def _corrected(sc: ExtScenario, eps: Frac, f: Frac) -> Frac:
+    """eps corrected by f: eps + f, or (1 + eps)(1 + f) - 1 for the multiplicative kind."""
+    if sc.kind == SMALL_EXP_INT:
+        return eps + f + eps * f
+    return eps + f
+
+
+def _window(sc: ExtScenario, gamma: GroupElem) -> Optional[GroupElem]:
+    """The truncation window of a ladder up to gamma; additive witnesses are never truncated."""
+    return integrate(gamma + unit(1).scale(8)) if sc.kind == SMALL_EXP_INT else None
+
+
 def step_bound(gamma: GroupElem) -> GroupElem:
     """The exact yardstick bound gamma - integrate(successor(gamma))."""
     return gamma - integrate(successor(gamma))
@@ -198,13 +210,9 @@ def _step(sc: ExtScenario, w: Witness, h: Optional[Frac],
     for _ in range(10000):
         b = _monomial_frac(integrate(cur))
         u = h.leading_coeff() / b.derivative().leading_coeff()
-        ub = b.scale(u)
-        if sc.kind == SMALL_EXP_INT:
-            eps = eps + ub + eps * ub
-            if window is not None:
-                eps = Frac(eps.num.truncate_below(window), eps.den)
-        else:
-            eps = eps + ub
+        eps = _corrected(sc, eps, b.scale(u))
+        if window is not None and sc.kind == SMALL_EXP_INT:
+            eps = Frac(eps.num.truncate_below(window), eps.den)
         h = _defect(sc, eps)
         new_gamma = h.valuation()
         if not (isinstance(new_gamma, GroupElem) and new_gamma > cur):
@@ -222,9 +230,7 @@ def chain(sc: ExtScenario, steps: int) -> list[Witness]:
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     w, h = _seed(sc)
-    window = None
-    if sc.kind == SMALL_EXP_INT:
-        window = integrate(w.gamma + unit(1).scale(steps + 8))
+    window = _window(sc, w.gamma + unit(1).scale(steps))
     out = [w]
     for _ in range(steps):
         w, h = _step(sc, w, h, window)
@@ -253,9 +259,7 @@ def construct_witness(sc: ExtScenario, gamma: GroupElem) -> Witness:
         return w
     if gamma < w.gamma:
         return _witness_below(sc, w, gamma)
-    window = None
-    if sc.kind == SMALL_EXP_INT:
-        window = integrate(gamma + unit(1).scale(8))
+    window = _window(sc, gamma)
     limit = 4096
     while w.gamma < gamma:
         w, h = _step(sc, w, h, window)
@@ -268,11 +272,7 @@ def construct_witness(sc: ExtScenario, gamma: GroupElem) -> Witness:
 
 
 def _witness_below(sc: ExtScenario, w: Witness, gamma: GroupElem) -> Witness:
-    f = _monomial_frac(integrate(gamma))
-    if sc.kind == SMALL_EXP_INT:
-        eps = w.eps + f + w.eps * f
-    else:
-        eps = w.eps + f
+    eps = _corrected(sc, w.eps, _monomial_frac(integrate(gamma)))
     got = s_value(sc, eps)
     if got != gamma:
         raise ValueError(f"witness construction realized {got}, wanted {gamma}")

@@ -649,8 +649,7 @@ def logderiv(f: Frac) -> Frac:
 
 def is_constant(f: Frac) -> bool:
     """True exactly when the derivative vanishes; the constants are Q."""
-    n, d = f.num, f.den
-    return (n.derivative() * d - n * d.derivative()).is_zero()
+    return f.derivative().is_zero()
 
 
 def as_rational(f: Frac) -> Fraction:

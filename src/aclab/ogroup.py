@@ -301,16 +301,21 @@ def unit(index: int) -> GroupElem:
     return _from_items(((index, 1, 1),))
 
 
-_ONES_CACHE: list[GroupElem] = [GroupElem.ZERO]
+def _prefix(length: int) -> GroupElem:
+    return _from_items(tuple([(i, 1, 1) for i in range(length)]))
+
+
+# psi and successor ask for short prefixes in every suite; a longer one is
+# built per call, so memory does not grow with the largest index asked for.
+ONES_TABLE_SIZE = 64
+_ONES = tuple(_prefix(n) for n in range(ONES_TABLE_SIZE + 1))
 
 
 def ones(length: int) -> GroupElem:
     """The prefix vector e_0 + ... + e_{length-1} (zero for length 0)."""
     if length < 0:
         raise ValueError("prefix length must be nonnegative")
-    while len(_ONES_CACHE) <= length:
-        _ONES_CACHE.append(_from_items(_ONES_CACHE[-1]._items + ((len(_ONES_CACHE) - 1, 1, 1),)))
-    return _ONES_CACHE[length]
+    return _ONES[length] if length <= ONES_TABLE_SIZE else _prefix(length)
 
 
 def cmp(a: GroupElem, b: GroupElem) -> int:

@@ -47,17 +47,8 @@ class SeqVerdict:
         return out
 
 
-@dataclass(frozen=True)
-class PCSeq:
-    """An explicit prefix of a sequence of field elements."""
-
-    points: tuple[Frac, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, i: int) -> Frac:
-        return self.points[i]
+# An explicit prefix of a sequence of field elements.
+PCSeq = tuple[Frac, ...]
 
 
 def _widths(seq: PCSeq, start: int = 0) -> list[GammaInf]:
@@ -124,7 +115,7 @@ def pseudolimit_check(seq: PCSeq, x: Frac) -> SeqVerdict:
     v(x - a_rho) must strictly increase from some index on, with at least
     three points of evidence.  Hitting a point and moving on is a refusal;
     hitting only the final point leaves the prefix inconclusive."""
-    vs = [vdiff(x, a)[0] for a in seq.points]
+    vs = [vdiff(x, a)[0] for a in seq]
     n = len(vs)
     _require_four(n)
     inf_at = [i for i, v in enumerate(vs) if not isinstance(v, GroupElem)]
@@ -159,8 +150,8 @@ def equivalent_prefix(a: PCSeq, b: PCSeq) -> SeqVerdict:
     reports the last index where the condition fails: it blocks every start."""
     n = min(len(a), len(b))
     _require_four(n)
-    da = _widths(PCSeq(a.points[:n]))
-    db = _widths(PCSeq(b.points[:n]))
+    da = _widths(a[:n])
+    db = _widths(b[:n])
     cross = [vdiff(b[r], a[r])[0] for r in range(n - 1)]
     holds = [da[r] == db[r] and cross[r] > da[r] for r in range(n - 1)]
     start = _suffix_start(holds, n - 4)
@@ -200,13 +191,13 @@ def lambda_term(n: int) -> Frac:
 
 
 def lambda_seq(count: int) -> PCSeq:
-    return PCSeq(tuple(lambda_term(n) for n in range(count)))
+    return tuple(lambda_term(n) for n in range(count))
 
 
 def perturbed_lambda_seq(count: int) -> PCSeq:
     """Same construction applied to m_n = ln (1 + l_{n+1}^-1); the widths
     match lambda's and the cross differences sit above them."""
-    return PCSeq(tuple(_perturbed_term(n) for n in range(count)))
+    return tuple(_perturbed_term(n) for n in range(count))
 
 
 @lru_cache(maxsize=LAMBDA_CACHE_SIZE)
@@ -335,7 +326,7 @@ def kaplansky_check(seq: PCSeq, limit: Frac, rfunc: RatFunc) -> SeqVerdict:
     in the original widths."""
     if rfunc.is_constant():
         raise ValueError("constant functions collapse the sequence")
-    image = PCSeq(tuple(rfunc(p) for p in seq.points))
+    image = tuple(rfunc(p) for p in seq)
     target = rfunc(limit)
     ws = _widths(image)
     pc = _pc_verdict(image, ws)
@@ -365,7 +356,7 @@ def shipped_pairs() -> list[tuple[str, PCSeq, Frac]]:
     one = Frac.ONE
 
     def seq(a: Frac, rs: list[Frac]) -> tuple[PCSeq, Frac]:
-        return PCSeq(tuple(a + r for r in rs)), a
+        return tuple(a + r for r in rs), a
 
     pairs = []
     pow_x = [xi ** (k + 1) for k in range(7)]

@@ -272,19 +272,17 @@ def _cofinal_member(desc: SetDescriptor, i: int) -> Optional[GroupElem]:
 # ---------------------------------------------------------------------------
 # Jammedness.
 
-def _has_greatest(desc: SetDescriptor) -> Optional[bool]:
-    """True/False when decidable, None when not."""
-    if isinstance(desc, LessEq):
-        return True
-    if isinstance(desc, (LessThan, PsiDown)):
-        return False
-    if isinstance(desc, (Affine, DownClosure, IntImage)):
-        # Affine maps, the integral map (a strictly increasing bijection onto
-        # the nonzero vectors) and downward closure keep a maximum or its lack.
-        return _has_greatest(desc.inner)
-    if isinstance(desc, ExtS):
-        return False
-    return None
+def _has_greatest(desc: SetDescriptor) -> bool:
+    # Affine maps, the integral map (a strictly increasing bijection onto the
+    # nonzero vectors) and downward closure keep a maximum or its lack.
+    while isinstance(desc, (Affine, DownClosure, IntImage)):
+        desc = desc.inner
+    return isinstance(desc, LessEq)
+
+
+def _greatest_element(detail: str = "") -> PropertyVerdict:
+    return PropertyVerdict(UNKNOWN, "greatest-element",
+                           {"reason": "the set has a greatest element" + detail})
 
 
 def _coord0_capped(desc: SetDescriptor) -> Optional[Fraction]:
@@ -295,8 +293,6 @@ def _coord0_capped(desc: SetDescriptor) -> Optional[Fraction]:
         return desc.coord0_cap
     if isinstance(desc, IntImage) and isinstance(desc.inner, ExtS):
         return desc.inner.int_coord0_cap
-    if isinstance(desc, DownClosure):
-        return _coord0_capped(desc.inner)
     return None
 
 
@@ -317,20 +313,13 @@ def _in_tail(gamma: GroupElem, k: int) -> bool:
 def is_jammed(desc: SetDescriptor) -> PropertyVerdict:
     """Whether, for every tail subgroup Delta_k, some member gamma_0 traps
     all members above it inside gamma_0 + Delta_k."""
-    greatest = _has_greatest(desc)
-    if greatest:
-        return PropertyVerdict(UNKNOWN, "greatest-element",
-                               {"reason": "the set has a greatest element; jammedness "
-                                          "is defined for sets without one"})
-
-    if isinstance(desc, LessThan):
+    if _has_greatest(desc):
+        return _greatest_element("; jammedness is defined for sets without one")
+    if isinstance(desc, (LessThan, PsiDown)):
+        rule, family = (("principal-downset", "bound - e_k/2") if isinstance(desc, LessThan)
+                        else ("psi-downset", "ones(k)"))
         bases = {str(k): vector_json(_cofinal_member(desc, k - 1)) for k in (1, 2, 3)}
-        return PropertyVerdict(HOLDS, "principal-downset",
-                               {"base_family": "bound - e_k/2", "sample_bases": bases})
-    if isinstance(desc, PsiDown):
-        bases = {str(k): vector_json(_cofinal_member(desc, k - 1)) for k in (1, 2, 3)}
-        return PropertyVerdict(HOLDS, "psi-downset",
-                               {"base_family": "ones(k)", "sample_bases": bases})
+        return PropertyVerdict(HOLDS, rule, {"base_family": family, "sample_bases": bases})
     if isinstance(desc, Affine):
         return _transport_verdict(is_jammed(desc.inner), "affine-invariance")
     if isinstance(desc, DownClosure):
@@ -359,7 +348,11 @@ def is_jammed(desc: SetDescriptor) -> PropertyVerdict:
 
 
 def _transport_verdict(inner: PropertyVerdict, rule: str) -> PropertyVerdict:
+    """The inner verdict under ``rule``, keeping the base its certificate names."""
     witness = {"inherited_from": inner.rule}
+    base = (inner.witness or {}).get("base")
+    if base is not None:
+        witness["base"] = base
     if inner.witness:
         witness["inner_witness"] = inner.witness
     return PropertyVerdict(inner.verdict, rule, witness)
@@ -403,12 +396,8 @@ def _step(gamma: GroupElem) -> GroupElem:
 def has_yardstick(desc: SetDescriptor) -> PropertyVerdict:
     """Whether some base beta in S lets every member above it step to
     gamma - chi(gamma) inside S."""
-    greatest = _has_greatest(desc)
-    if greatest:
-        return PropertyVerdict(UNKNOWN, "greatest-element",
-                               {"reason": "the set has a greatest element; the yardstick "
-                                          "property is defined for sets without one"})
-
+    if _has_greatest(desc):
+        return _greatest_element("; the yardstick property is defined for sets without one")
     if isinstance(desc, LessThan):
         if desc.bound.is_zero():
             return PropertyVerdict(HOLDS, "negative-cone",
@@ -432,22 +421,15 @@ def has_yardstick(desc: SetDescriptor) -> PropertyVerdict:
         except UnsupportedDescriptor as exc:
             return PropertyVerdict(UNKNOWN, "unsupported-membership", {"reason": str(exc)})
         if inner.verdict == HOLDS:
-            base = None
-            if isinstance(desc.inner, ExtS):
-                base = vector_json(integrate(desc.inner.scenario.s_valuation()))
-            witness = {"inherited_from": inner.rule, "base": base}
-            return PropertyVerdict(HOLDS, "integral-transport", witness)
+            # Only a scenario set holds (constructive-step), from the base v(s).
+            base = vector_json(integrate(desc.inner.scenario.s_valuation()))
+            return PropertyVerdict(HOLDS, "integral-transport",
+                                   {"inherited_from": inner.rule, "base": base})
         return _yardstick_search(desc)
     if isinstance(desc, DownClosure):
         inner = has_yardstick(desc.inner)
         if inner.verdict == HOLDS:
-            witness = {"inherited_from": inner.rule}
-            inner_base = (inner.witness or {}).get("base")
-            if inner_base is not None:
-                witness["base"] = inner_base
-            if inner.witness:
-                witness["inner_witness"] = inner.witness
-            return PropertyVerdict(HOLDS, "downward-transport", witness)
+            return _transport_verdict(inner, "downward-transport")
         return _yardstick_search(desc)
     if isinstance(desc, ExtS):
         return PropertyVerdict(HOLDS, "step-closed-handle",
@@ -479,10 +461,7 @@ def _yardstick_search(desc: SetDescriptor, step=_step, rule_prefix: str = "") ->
         for i in range(200):
             g = _cofinal_member(desc, i) if i < 8 else None
             if g is None:
-                try:
-                    g = sample_member(desc, rng)
-                except UnsupportedDescriptor:
-                    break
+                g = sample_member(desc, rng)
             if not member(desc, g):
                 continue
             tried += 1
@@ -506,10 +485,8 @@ def has_derived_yardstick(desc: SetDescriptor) -> PropertyVerdict:
     gamma - integrate(successor(gamma)) inside S.  The operand must be
     certified inside one derivative half."""
     _require_half(desc, "derived yardstick of")
-    greatest = _has_greatest(desc)
-    if greatest:
-        return PropertyVerdict(UNKNOWN, "greatest-element",
-                               {"reason": "the set has a greatest element"})
+    if _has_greatest(desc):
+        return _greatest_element()
     if isinstance(desc, ExtS):
         base = desc.scenario.s_valuation()
         rng = random.Random(17)
@@ -519,8 +496,11 @@ def has_derived_yardstick(desc: SetDescriptor) -> PropertyVerdict:
                 continue
             stepped = step_bound(g)
             if not (stepped > g and extend.member(desc.scenario, stepped)):
-                return PropertyVerdict(FAILS, "handle-step-refuted",
-                                       {"witness": vector_json(g)})
+                # The shipped sets are closed under the step, so this is a
+                # broken certificate, not a sampled Fails.
+                raise ArithmeticError(
+                    f"constructive-step certificate failed: the step from {g} "
+                    f"leaves (exts {desc.kind})")
         return PropertyVerdict(HOLDS, "constructive-step",
                                {"base": vector_json(base), "scenario": desc.kind,
                                 "certificate": "each step re-verified exactly by the "

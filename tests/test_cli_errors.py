@@ -202,3 +202,36 @@ def test_fixed_size_suites_ignore_the_case_count(capsys, monkeypatch):
     monkeypatch.delenv("ACLAB_SEED", raising=False)
     assert main(["suite", "grid", "--cases", "10000000"]) == 0
     assert json.loads(capsys.readouterr().out)["cases"] == 343
+
+
+def test_generator_and_truncation_caps_admit_their_bound(capsys, monkeypatch):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    # `aclab lambda n` prints generators up to ln, so every answer parses back.
+    assert cli.MAX_GENERATOR_INDEX >= cli.MAX_LAMBDA_INDEX + 1
+    top = cli.MAX_GENERATOR_INDEX
+    monkeypatch.setattr(cli, "MAX_TRUNC_BOUND", 30)
+    codes = [main(["val", "--", f"l{top}"]), main(["val", "--", f"x*l{top + 1}"]),
+             main(["classify", "trunc:30"]), main(["classify", "trunc:31"])]
+    outs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert codes == [0, 2, 0, 2]
+    assert outs[0] == {"valuation": [0] * top + [-1]}
+    assert outs[1] == {"error": f"generator index {top + 1} is above the limit {top} at offset 2"}
+    assert outs[2] == {"kind": "grounded", "max_psi": [1] * 30}
+    assert outs[3] == {"error": "truncation bound 31 is above the limit 30"}
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["val", "--", "D(l100000)"],
+     f"generator index 100000 is above the limit {cli.MAX_GENERATOR_INDEX} at offset 2"),
+    (["psi", "--", "l100000"],
+     f"generator index 100000 is above the limit {cli.MAX_GENERATOR_INDEX} at offset 0"),
+    (["classify", "trunc:100000"], f"truncation bound 100000 is above the limit {cli.MAX_TRUNC_BOUND}"),
+])
+def test_index_over_a_cap_is_refused_at_once(capsys, monkeypatch, argv, error):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, json.dumps({"error": error}) + "\n", "")
+    assert elapsed < 1.0

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import assume, given
 import pytest
 
+from aclab import ogroup
 from aclab.ogroup import (
     DELTA,
     ExtElem,
@@ -154,6 +155,12 @@ class TestOnesAndUnits:
     def test_ones_rejects_negative(self):
         with pytest.raises(ValueError):
             ones(-1)
+
+    def test_long_prefixes_are_not_kept(self):
+        table, top = ogroup._ONES, ogroup.ONES_TABLE_SIZE
+        assert ones(50_000) == GroupElem.from_list([1] * 50_000)
+        assert ones(top + 1) == ones(top) + unit(top)
+        assert ogroup._ONES is table and len(table) == top + 1
 
     def test_zero_vector_queries(self):
         assert GroupElem.ZERO.max_index() == -1

@@ -13,7 +13,6 @@ from aclab.pcseq import (
     NO,
     R_FAMILY,
     YES,
-    PCSeq,
     RatFunc,
     _widths,
     equivalent_prefix,
@@ -34,10 +33,10 @@ from aclab.pcseq import (
 V = GroupElem.parse
 
 
-def geometric_seq(count: int = 6) -> PCSeq:
+def geometric_seq(count: int = 6) -> tuple[Frac, ...]:
     xi = ell(0).inv()
-    return PCSeq(tuple(sum((xi ** (k + 1) for k in range(n)), Frac.ZERO)
-                       for n in range(1, count + 1)))
+    return tuple(sum((xi ** (k + 1) for k in range(n)), Frac.ZERO)
+                 for n in range(1, count + 1))
 
 
 class TestPCPrefix:
@@ -46,13 +45,13 @@ class TestPCPrefix:
         assert (verdict.status, verdict.index) == (YES, 0)
 
     def test_late_start_is_found(self):
-        noisy = PCSeq((Frac.from_rat(9), Frac.from_rat(10)) + geometric_seq().points)
+        noisy = (Frac.from_rat(9), Frac.from_rat(10)) + geometric_seq()
         verdict = is_pc_prefix(noisy)
         assert (verdict.status, verdict.index) == (YES, 1)
 
     def test_level_differences_are_rejected(self):
         points = tuple(Frac.from_rat(n) for n in range(5))
-        verdict = is_pc_prefix(PCSeq(points))
+        verdict = is_pc_prefix(points)
         assert verdict.status == NO
         assert verdict.witness["indices"] == [0, 1, 2]
 
@@ -64,23 +63,23 @@ class TestPCPrefix:
             ((sums[0], sums[1], sums[2], sums[2], sums[3], sums[4], sums[5]), 3, (YES, 3)),
         ]
         for points, start, equivalent in cases:
-            verdict = is_pc_prefix(PCSeq(points))
+            verdict = is_pc_prefix(points)
             assert (verdict.status, verdict.index) == (YES, start)
-            nudged = PCSeq(tuple(p + xi ** (10 + r) for r, p in enumerate(points)))
-            verdict = equivalent_prefix(PCSeq(points), nudged)
+            nudged = tuple(p + xi ** (10 + r) for r, p in enumerate(points))
+            verdict = equivalent_prefix(points, nudged)
             assert (verdict.status, verdict.index) == equivalent
 
     def test_equivalence_witness_is_the_blocking_index(self):
         xi = ell(0).inv()
         points = (Frac.ZERO, xi, xi, xi + xi ** 2, xi + xi ** 2 + xi ** 3)
-        nudged = PCSeq(tuple(p + xi ** (10 + r) for r, p in enumerate(points)))
-        verdict = equivalent_prefix(PCSeq(points), nudged)
+        nudged = tuple(p + xi ** (10 + r) for r, p in enumerate(points))
+        verdict = equivalent_prefix(points, nudged)
         assert verdict.to_dict() == {"status": NO, "witness": {
             "index": 1, "width_a": "infinity", "width_b": [11], "cross": [11]}}
 
     def test_short_prefix_is_an_error(self):
         with pytest.raises(ValueError):
-            is_pc_prefix(PCSeq((Frac.ZERO, Frac.ONE, Frac.from_rat(2))))
+            is_pc_prefix((Frac.ZERO, Frac.ONE, Frac.from_rat(2)))
 
     def test_width_prefix_strictly_increases(self):
         widths = width_prefix(geometric_seq())
@@ -89,7 +88,7 @@ class TestPCPrefix:
     def test_width_prefix_rejects_stalls(self):
         points = (Frac.ZERO, Frac.ONE, Frac.from_rat(2), Frac.from_rat(3))
         with pytest.raises(ValueError):
-            width_prefix(PCSeq(points))
+            width_prefix(points)
 
 
 class TestPseudolimit:
@@ -133,7 +132,7 @@ class TestLambdaSequence:
         assert verdict.status == YES
 
     def test_offset_sequence_is_not_equivalent(self):
-        shifted = PCSeq(tuple(p + Frac.ONE for p in lambda_seq(8).points))
+        shifted = tuple(p + Frac.ONE for p in lambda_seq(8))
         verdict = equivalent_prefix(lambda_seq(8), shifted)
         assert verdict.status == NO
 
@@ -223,9 +222,9 @@ class TestDifferenceKernelRoute:
         assert len(family) == 27
         checked = 0
         for _, seq, _ in shipped_pairs():
-            for points in [seq.points] + [tuple(r(p) for p in seq.points) for r in family]:
+            for points in [seq] + [tuple(r(p) for p in seq) for r in family]:
                 expect = [(points[i + 1] - points[i]).valuation() for i in range(len(points) - 1)]
-                assert _widths(PCSeq(points)) == expect
+                assert _widths(points) == expect
                 checked += 1
         assert checked == 10 * 28
 
@@ -246,11 +245,11 @@ class TestDifferenceKernelRoute:
 class TestPerturbedTermCache:
     def test_cached_terms_equal_terms_built_without_the_cache(self):
         uncached = [-logderiv(logderiv(ell(n) * (Frac.ONE + ell(n + 1).inv()))) for n in range(14)]
-        cached = perturbed_lambda_seq(14).points
+        cached = perturbed_lambda_seq(14)
         assert len(cached) == 14
         for a, b in zip(cached, uncached):
             assert a == b and str(a) == str(b)
-        assert all(a is b for a, b in zip(cached, perturbed_lambda_seq(14).points))
+        assert all(a is b for a, b in zip(cached, perturbed_lambda_seq(14)))
 
     def test_cache_is_bounded_like_the_lambda_terms(self):
         assert pcseq._perturbed_term.cache_info().maxsize == pcseq.LAMBDA_CACHE_SIZE

@@ -8,7 +8,7 @@ from collections import Counter
 
 from aclab.logts import Frac, ell
 from aclab.ogroup import INFINITY, GroupElem, cmp, vector_json
-from aclab.pcseq import PCSeq, equivalent_prefix, is_pc_prefix, pseudolimit_check
+from aclab.pcseq import equivalent_prefix, is_pc_prefix, pseudolimit_check
 
 XI = ell(0).inv()
 L1I = ell(1).inv()
@@ -114,7 +114,7 @@ def test_is_pc_prefix_matches_reference():
     for _ in range(CASES):
         points = random_prefix(rng)
         expect = reference_is_pc(points)
-        assert is_pc_prefix(PCSeq(points)).to_dict() == expect, points
+        assert is_pc_prefix(points).to_dict() == expect, points
         seen[expect["status"], _repeats(points)] += 1
     assert min(seen[s, r] for s in ("yes", "no") for r in (True, False)) >= 20, seen
 
@@ -126,7 +126,7 @@ def test_pseudolimit_check_matches_reference():
         points = random_prefix(rng)
         x = rng.choice((rng.choice(points), rng.choice(BASES), points[-1] + TINY[0]))
         expect = reference_pseudolimit(points, x)
-        assert pseudolimit_check(PCSeq(points), x).to_dict() == expect, (points, x)
+        assert pseudolimit_check(points, x).to_dict() == expect, (points, x)
         seen[expect["status"]] += 1
     assert min(seen[s] for s in ("yes", "no", "inconclusive")) >= 20, seen
 
@@ -142,6 +142,6 @@ def test_equivalent_prefix_matches_reference():
         else:
             b = random_prefix(rng)
         expect = reference_equivalent(a, b)
-        assert equivalent_prefix(PCSeq(a), PCSeq(b)).to_dict() == expect, (a, b)
+        assert equivalent_prefix(a, b).to_dict() == expect, (a, b)
         seen[expect["status"], _repeats(a)] += 1
     assert min(seen.values()) >= 20 and len(seen) == 4, seen

@@ -1,10 +1,12 @@
 """Verdict oracles for jammedness, yardsticks, and set reductions."""
 
+import json
 import random
 
 from hypothesis import given
 import pytest
 
+from aclab import cli, extend, setprops
 from aclab.acouple import integrate
 from aclab.extend import BIG_INT, SMALL_EXP_INT, SMALL_INT, example, s_descriptor
 from aclab.ogroup import GroupElem, ones, unit
@@ -193,6 +195,32 @@ class TestJammedness:
         report = jammedness_suite(seed=3, beta_count=6, invariance_count=10)
         assert report.ok
 
+    def test_recheck_rejects_doctored_fails(self):
+        capped = IntImage(s_descriptor(example(SMALL_INT)))
+        fails = is_jammed(capped)
+        assert fails.verdict == FAILS
+        # A transport rule on a descriptor that is neither affine nor a closure.
+        transported = PropertyVerdict(FAILS, "affine-invariance",
+                                      {"inherited_from": fails.rule, "inner_witness": fails.witness})
+        assert recheck_jammed(DownClosure(capped), PropertyVerdict(
+            FAILS, "downclosure-invariance", transported.witness))
+        assert not recheck_jammed(capped, transported)
+        for key in ("bump", "level"):
+            witness = {k: v for k, v in fails.witness.items() if k != key}
+            assert not recheck_jammed(capped, PropertyVerdict(FAILS, fails.rule, witness))
+
+    def test_recheck_rejects_holds_on_a_non_member_base(self, monkeypatch):
+        desc = LessThan(unit(0))
+        verdict = is_jammed(desc)
+        assert recheck_jammed(desc, verdict)
+        monkeypatch.setattr(setprops, "_cofinal_member", lambda d, i: d.bound)
+        assert not recheck_jammed(desc, verdict)
+
+    def test_recheck_rejects_holds_on_a_set_with_escapes(self):
+        desc = s_descriptor(example(BIG_INT))
+        assert is_jammed(desc).verdict == FAILS
+        assert not recheck_jammed(desc, PropertyVerdict(HOLDS, "principal-downset"))
+
 
 class TestYardstick:
     def test_negative_cone_holds(self):
@@ -243,6 +271,28 @@ class TestYardstick:
     def test_derived_yardstick_requires_a_half(self):
         with pytest.raises(UnsupportedDescriptor):
             has_derived_yardstick(LessThan(V("[2]")))
+
+    def test_refuted_step_is_a_broken_certificate(self, monkeypatch, capsys):
+        monkeypatch.setattr(extend, "member", lambda sc, gamma: False)
+        with pytest.raises(ArithmeticError, match="constructive-step certificate failed"):
+            has_derived_yardstick(s_descriptor(example(BIG_INT)))
+        assert cli.main(["set", "(exts bigint)", "derived-yardstick"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error.startswith("constructive-step certificate failed") and "(exts bigint)" in error
+
+    def test_recheck_rejects_forged_yardstick_verdicts(self):
+        desc = LessThan(unit(0))
+        assert recheck_yardstick(desc, has_yardstick(desc))
+        assert not recheck_yardstick(desc, PropertyVerdict(FAILS, "cofinal-escape"))
+        assert not recheck_yardstick(desc, PropertyVerdict(FAILS, "cofinal-escape", {"family": "x"}))
+        assert not recheck_yardstick(desc, PropertyVerdict(HOLDS, "negative-cone"))
+
+    def test_unsupported_membership_in_the_search(self, capsys):
+        desc = DownClosure(IntImage(LessThan(V("[2]"))))
+        verdict = has_yardstick(desc)
+        assert (verdict.verdict, verdict.rule) == (UNKNOWN, "unsupported-membership")
+        assert cli.main(["set", describe(desc), "yardstick"]) == 0
+        assert json.loads(capsys.readouterr().out) == verdict.to_dict()
 
 
 class TestExclusionSuite:
