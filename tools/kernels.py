@@ -3,11 +3,12 @@
     python3 tools/kernels.py --out BENCH.json [--src DIR]
 
 Imports aclab from DIR (default: this checkout's src/), so the same script
-times another checkout.  Each kernel runs a batch of ops per repeat; the
-printed and written figure is the median over REPEATS repeats of the batch's
-thread CPU time divided by its op count (CPU time, so that time the
-thread spends preempted on a shared host does not count).  Inputs are
-seeded and the same on every checkout.  Kernels:
+times another checkout.  The process pins itself to one CPU, so that it
+does not migrate between cores while it runs.  Each kernel runs a batch of
+ops per repeat; the printed and written figure is the median over REPEATS
+repeats of the batch's thread CPU time divided by its op count (CPU time,
+so that time the thread spends preempted on a shared host does not count).
+Inputs are seeded and the same on every checkout.  Kernels:
 
   series_mul_unit       s * 1 on random series of up to 4 terms
   series_mul_general    s * t on random series of up to 4 terms, memo warm
@@ -16,6 +17,15 @@ seeded and the same on every checkout.  Kernels:
   monomial_mul_memo     the same a * b again, read from the product memo
   derivative_first      s.derivative() on a series not differentiated yet
   derivative_repeat     the same call again on the same series
+  frac_eq_cross         f == g for f (up to 8 numerator and 4 denominator
+                        terms) against itself over another denominator,
+                        tables cleared before the inputs are built (30
+                        pairs; two thirds reach logts.CROSS_EQ_MIN_PAIRS)
+  vdiff_cross           vdiff(f, g) for g = f plus a smaller term, over
+                        another denominator (30 pairs, built as above)
+  kaplansky_check       pcseq.kaplansky_check on the quotient-limit pair
+                        and the last rational map of R_FAMILY, after one
+                        warm-up
   lambda_chunk          pcseq.lambda_suite(12, 100, seed), after one warm-up
   sample_elem           acouple.sample_elem(rng) at its defaults
   vector_add            a + b on sampled vectors (ogroup._merge)
@@ -105,6 +115,41 @@ def _derivative_repeat(logts, rep: int) -> float:
     return _timed(ops)
 
 
+def _cross_pairs(logts, rep: int, perturb: bool) -> list:
+    """f and f (plus a term below its leading one, when perturb) over
+    another denominator: equal leading terms, unequal denominators."""
+    from aclab.ogroup import GroupElem
+    logts._clear_tables()
+    rng = random.Random(rep)
+    pairs = []
+    for _ in range(GENERAL_BATCH):
+        f = logts.Frac(logts.random_series(rng, max_terms=8), logts.random_series(rng, max_terms=4))
+        h = logts.Series.ONE + logts.Series.monomial(
+            logts.Monomial(GroupElem([(rng.randint(0, 2), -1)])), rng.choice([1, -2]))
+        g = f
+        if perturb:
+            below = f.num.leading()[0] * logts.Monomial(GroupElem([(0, -1)]))
+            g = f + logts.Frac(logts.Series.monomial(below, rng.choice(logts.COEFF_POOL)))
+        pairs.append((f, logts.Frac(g.num * h, g.den * h)))
+    return pairs
+
+
+def _frac_eq_cross(logts, rep: int) -> float:
+    return _timed([lambda f=f, g=g: f == g for f, g in _cross_pairs(logts, rep, False)])
+
+
+def _vdiff_cross(logts, rep: int) -> float:
+    return _timed([lambda f=f, g=g: logts.vdiff(f, g) for f, g in _cross_pairs(logts, rep, True)])
+
+
+def _kaplansky_check(pcseq, rep: int) -> float:
+    _, seq, limit = next(p for p in pcseq.shipped_pairs() if p[0] == "quotient-limit")
+    rfunc = pcseq.R_FAMILY[-1]
+    if rep == 0:
+        pcseq.kaplansky_check(seq, limit, rfunc)
+    return _timed([lambda: pcseq.kaplansky_check(seq, limit, rfunc)])
+
+
 def _lambda_chunk(pcseq, rep: int) -> float:
     if rep == 0:
         pcseq.lambda_suite(12, 100, 1)
@@ -146,6 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the aclab package to time")
     args = parser.parse_args(argv)
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, os.path.abspath(args.src))
     from aclab import acouple, logts, pcseq
 
@@ -156,6 +202,9 @@ def main(argv: list[str] | None = None) -> int:
         "monomial_mul_memo": (logts, _monomial_mul_memo),
         "derivative_first": (logts, _derivative_first),
         "derivative_repeat": (logts, _derivative_repeat),
+        "frac_eq_cross": (logts, _frac_eq_cross),
+        "vdiff_cross": (logts, _vdiff_cross),
+        "kaplansky_check": (pcseq, _kaplansky_check),
         "lambda_chunk": (pcseq, _lambda_chunk),
         "sample_elem": (acouple, _sample_elem),
         "vector_add": (acouple, _vector_add),
@@ -166,8 +215,9 @@ def main(argv: list[str] | None = None) -> int:
     results = {}
     for name, (module, kernel) in kernels.items():
         samples = [kernel(module, rep) for rep in range(REPEATS)]
-        batch = {"lambda_chunk": 1, "identity_chunk": 1,
-                 "series_mul_general": GENERAL_BATCH}.get(name, BATCH)
+        batch = {"lambda_chunk": 1, "identity_chunk": 1, "kaplansky_check": 1,
+                 "series_mul_general": GENERAL_BATCH, "frac_eq_cross": GENERAL_BATCH,
+                 "vdiff_cross": GENERAL_BATCH}.get(name, BATCH)
         results[name] = {"ns_per_op": statistics.median(samples), "repeats": REPEATS,
                          "batch": batch}
         print(f"{name:20s} {results[name]['ns_per_op']:14,.0f} ns/op")
