@@ -12,9 +12,10 @@ import argparse
 import json
 import os
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import extend, pcseq, setprops
 from .acouple import (
@@ -630,7 +631,81 @@ def _cmd_set(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(p: argparse.ArgumentParser,
+            fn: Callable[[argparse.Namespace], int]) -> argparse.ArgumentParser:
+    p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+    p.set_defaults(fn=fn)
+    return p
+
+
+def _expression_command(name: str, help_text: str, fn: Callable[[argparse.Namespace], int],
+                        *operands: str) -> Callable:
+    """The adder of a command whose operands are expressions (val, psi, cmp)."""
+    def add(sub, seed: int) -> None:
+        p = sub.add_parser(name, help=help_text)
+        for operand in operands:
+            p.add_argument(operand)
+        p.hint = DASH_HINT
+        _common(p, fn)
+    return add
+
+
+def _add_lambda(sub, seed: int) -> None:
+    p = sub.add_parser("lambda", help="the n-th lambda term")
+    p.add_argument("n", type=int)
+    _common(p, _cmd_lambda)
+
+
+def _add_classify(sub, seed: int) -> None:
+    p = sub.add_parser("classify", help="trichotomy class of a couple")
+    p.add_argument("couple", help="logfull, loggap, or trunc:N")
+    p.add_argument("--lambda-free", choices=["yes", "no", "unknown"], default=None)
+    _common(p, _cmd_classify).add_argument("--seed", type=int, default=seed)
+
+
+def _add_suite(sub, seed: int) -> None:
+    p = sub.add_parser("suite", help="run a verification suite")
+    p.add_argument("name")
+    p.add_argument("--cases", type=int, default=None)
+    p.add_argument("--len", type=int, default=12, help="prefix length where applicable")
+    _common(p, _cmd_suite).add_argument("--seed", type=int, default=seed)
+
+
+def _add_extend(sub, seed: int) -> None:
+    p = sub.add_parser("extend", help="extension scenario operations")
+    esub = p.add_subparsers(dest="extend_command", required=True)
+    ps = esub.add_parser("step", help="iterate the yardstick step")
+    ps.add_argument("--kind", choices=list(extend.KINDS), required=True)
+    ps.add_argument("--s", default=None, help="scenario element (must match the shipped one)")
+    ps.add_argument("--iters", type=int, default=1)
+    _common(ps, _cmd_extend)
+
+
+def _add_set(sub, seed: int) -> None:
+    p = sub.add_parser("set", help="query a set descriptor")
+    p.add_argument("descriptor", help="s-expression, e.g. (down (int (exts smallint)))")
+    p.add_argument("query", help="jammed, yardstick, derived-yardstick, sup, half, member [v]")
+    _common(p, _cmd_set)
+
+
+# Command name -> the function that adds its subparser, given the subparsers
+# action and the default seed; the order is the order of the help text.
+COMMANDS = {
+    "val": _expression_command("val", "valuation of an expression", _cmd_val, "expr"),
+    "psi": _expression_command("psi", "psi of the valuation of an expression", _cmd_psi, "expr"),
+    "cmp": _expression_command("cmp", "compare two expressions", _cmd_cmp, "left", "right"),
+    "lambda": _add_lambda,
+    "classify": _add_classify,
+    "suite": _add_suite,
+    "extend": _add_extend,
+    "set": _add_set,
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``aclab`` parser.  When ``command`` names a command it holds that
+    command's subparser alone, which parses that command's argv as the full
+    parser does; otherwise it holds every command's."""
     parser = _ArgParser(
         prog="aclab",
         description="Exact computations in the logarithmic asymptotic couple and field.")
@@ -640,69 +715,16 @@ def build_parser() -> argparse.ArgumentParser:
     except ValueError:
         raise ExprSemanticError(f"ACLAB_SEED must be an integer, got {seed_text!r}") from None
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-
-    p = sub.add_parser("val", help="valuation of an expression")
-    p.add_argument("expr")
-    p.hint = DASH_HINT
-    common(p)
-    p.set_defaults(fn=_cmd_val)
-
-    p = sub.add_parser("psi", help="psi of the valuation of an expression")
-    p.add_argument("expr")
-    p.hint = DASH_HINT
-    common(p)
-    p.set_defaults(fn=_cmd_psi)
-
-    p = sub.add_parser("cmp", help="compare two expressions")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.hint = DASH_HINT
-    common(p)
-    p.set_defaults(fn=_cmd_cmp)
-
-    p = sub.add_parser("lambda", help="the n-th lambda term")
-    p.add_argument("n", type=int)
-    common(p)
-    p.set_defaults(fn=_cmd_lambda)
-
-    p = sub.add_parser("classify", help="trichotomy class of a couple")
-    p.add_argument("couple", help="logfull, loggap, or trunc:N")
-    p.add_argument("--lambda-free", choices=["yes", "no", "unknown"], default=None)
-    common(p)
-    p.add_argument("--seed", type=int, default=default_seed)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("suite", help="run a verification suite")
-    p.add_argument("name")
-    p.add_argument("--cases", type=int, default=None)
-    p.add_argument("--len", type=int, default=12, help="prefix length where applicable")
-    common(p)
-    p.add_argument("--seed", type=int, default=default_seed)
-    p.set_defaults(fn=_cmd_suite)
-
-    p = sub.add_parser("extend", help="extension scenario operations")
-    esub = p.add_subparsers(dest="extend_command", required=True)
-    ps = esub.add_parser("step", help="iterate the yardstick step")
-    ps.add_argument("--kind", choices=list(extend.KINDS), required=True)
-    ps.add_argument("--s", default=None, help="scenario element (must match the shipped one)")
-    ps.add_argument("--iters", type=int, default=1)
-    common(ps)
-    ps.set_defaults(fn=_cmd_extend)
-
-    p = sub.add_parser("set", help="query a set descriptor")
-    p.add_argument("descriptor", help="s-expression, e.g. (down (int (exts smallint)))")
-    p.add_argument("query", help="jammed, yardstick, derived-yardstick, sup, half, member [v]")
-    common(p)
-    p.set_defaults(fn=_cmd_set)
+    for name in [command] if command in COMMANDS else COMMANDS:
+        COMMANDS[name](sub, default_seed)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.fn(args)
     except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))

@@ -1,4 +1,4 @@
-"""ns/op medians for the kernels under the field and couple suites.
+"""ns/op medians for the kernels under the field and couple suites and CLI.
 
     python3 tools/kernels.py --out BENCH.json [--src DIR]
 
@@ -32,11 +32,16 @@ Inputs are seeded and the same on every checkout.  Kernels:
   integrate             acouple.integrate(g) on sampled vectors
   psi                   acouple.psi(g) on sampled vectors
   identity_chunk        acouple.identity_suite(25, seed), after one warm-up
+  cli_val               cli.main(["val", "--", "x+1"]) in process, stdout
+                        captured, after one warm-up: parser, parse, output
+  cli_classify          cli.main(["classify", "trunc:3"]), the same way
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -185,6 +190,19 @@ def _identity_chunk(acouple, rep: int) -> float:
     return _timed([lambda: acouple.identity_suite(25, rep + 2)])
 
 
+def _cli_request(cli, argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+
+
+def _cli_kernel(argv: list[str]):
+    def kernel(cli, rep: int) -> float:
+        if rep == 0:
+            _cli_request(cli, argv)
+        return _timed([lambda: _cli_request(cli, argv)] * BATCH)
+    return kernel
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -193,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, os.path.abspath(args.src))
-    from aclab import acouple, logts, pcseq
+    from aclab import acouple, cli, logts, pcseq
 
     kernels = {
         "series_mul_unit": (logts, _series_mul_unit),
@@ -211,6 +229,8 @@ def main(argv: list[str] | None = None) -> int:
         "integrate": (acouple, _integrate),
         "psi": (acouple, _psi),
         "identity_chunk": (acouple, _identity_chunk),
+        "cli_val": (cli, _cli_kernel(["val", "--", "x+1"])),
+        "cli_classify": (cli, _cli_kernel(["classify", "trunc:3"])),
     }
     results = {}
     for name, (module, kernel) in kernels.items():
