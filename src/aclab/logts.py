@@ -35,9 +35,10 @@ from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, _from_items, _merge,
 # Both tables are emptied together when either reaches its cap, which bounds
 # their memory.  A monomial built before a clear is then a different object
 # from an equal one built after it, so equality falls back to comparing
-# exponent vectors and no result depends on which instance is used.  The
-# Series kernels read ``_products`` themselves and call ``Monomial.__mul__``
-# only on a miss, which interns the sum of the two exponent triples directly.
+# exponent vectors and no result depends on which instance is used.
+# ``Monomial.__mul__`` is the only reader and writer of ``_products``; on a
+# miss it interns the sum of the two exponent triples directly.  No comparison
+# of field elements builds or interns a monomial (see ``_packing``).
 INTERN_CAP = 1024
 PRODUCT_CAP = 4 * INTERN_CAP
 
@@ -174,14 +175,6 @@ MAX_TERM_PAIRS = 300_000
 # CPython 3.11), most of it in the gcds that keep each result reduced.
 MAX_COEFF_BITS = 600_000
 
-# Frac.__eq__ forms its two cross products as series below this many term
-# pairs in all: the cross kernel first packs every monomial, which costs more
-# than memoised products of small factors.  Timed on both paths for each call
-# in the field workload (seed 101; 2 cores, CPython 3.11), the kernel took
-# 1.9-2.7 times as long up to 20 pairs, tied at 21-24 and won 88-100% of the
-# calls from 41 on.
-CROSS_EQ_MIN_PAIRS = 24
-
 
 class Series:
     """A finite rational combination of monomials in canonical form.
@@ -301,12 +294,9 @@ class Series:
             return _series(_shifted(a, mb, nb), den)
         acc: dict[Monomial, int] = {}
         get = acc.get
-        products = _products
         for mb, nb in b.items():
-            ib = id(mb)
             for ma, na in a.items():
-                hit = products.get((id(ma), ib))
-                key = hit[2] if hit is not None else ma * mb
+                key = ma * mb
                 acc[key] = get(key, 0) + na * nb
         return _series(acc, den)
 
@@ -398,13 +388,7 @@ def _is_one(s: Series) -> bool:
 def _shifted(nums: dict[Monomial, int], mono: Monomial, factor: int) -> dict[Monomial, int]:
     """``{m * mono: n * factor}``; the products are distinct because the
     monomials of ``nums`` are."""
-    products = _products
-    im = id(mono)
-    out: dict[Monomial, int] = {}
-    for m, n in nums.items():
-        hit = products.get((id(m), im))
-        out[hit[2] if hit is not None else m * mono] = n * factor
-    return out
+    return {m * mono: n * factor for m, n in nums.items()}
 
 
 def _int_pair(value: RatLike) -> tuple[int, int]:
@@ -457,7 +441,7 @@ class Frac:
     ``vdiff`` (and through it the order and ``similar``) reads instead of
     forming the quotient ``f - g``.  Equality compares the numerators under
     equal denominators; otherwise their leading terms, then n_f*d_g against
-    n_g*d_f in the cross kernel (see ``CROSS_EQ_MIN_PAIRS``).
+    n_g*d_f in the cross kernel, so no comparison builds a monomial.
     """
 
     __slots__ = ("num", "den")
@@ -554,8 +538,6 @@ class Frac:
             # cross products lead with n_f and n_g.
             if nf.is_zero() or ng.is_zero() or nf.leading() != ng.leading():
                 return False
-            if len(nf) * len(other.den) + len(ng) * len(self.den) < CROSS_EQ_MIN_PAIRS:
-                return nf * other.den == ng * self.den
             return _cross_equal(nf, other.den, ng, self.den)
         return NotImplemented
 

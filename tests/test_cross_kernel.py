@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aclab import logts
-from aclab.logts import INFINITY, BudgetExceeded, Frac, Monomial, Series, _cross_equal, _cross_lead, vdiff
+from aclab.logts import INFINITY, BudgetExceeded, Frac, Monomial, Series, _cross_equal, _cross_lead, similar, vdiff
 from aclab.ogroup import GroupElem
 
 from strategies import nonzero_series
@@ -117,20 +117,19 @@ def _unequal_forms(rng: random.Random, count: int, num_terms: int, den_terms: in
 class TestFracEntryPoints:
     def test_large_comparisons_build_no_monomial(self):
         rng = random.Random(73)
-        pairs = _unequal_forms(rng, 40, 12, 4)
-        large = [(f, g) for f, g in pairs
-                 if len(f.num) * len(g.den) + len(g.num) * len(f.den) >= 2 * logts.CROSS_EQ_MIN_PAIRS]
-        assert len(large) >= 20
+        pairs = _unequal_forms(rng, 40, 12, 4) + _unequal_forms(rng, 40, 3, 2)
+        sizes = [len(f.num) * len(g.den) + len(g.num) * len(f.den) for f, g in pairs]
+        # Every size: pairs below 24 term pairs as well as far above them.
+        assert sum(n < 24 for n in sizes) >= 20 and sum(n >= 48 for n in sizes) >= 20
         interned, products = dict(logts._interned), dict(logts._products)
-        answers = [(f == g, f < g, vdiff(g, f)) for f, g in large]
-        assert any(eq for eq, _, _ in answers) and not all(eq for eq, _, _ in answers)
+        answers = [(f == g, f != g, f < g, f >= g, vdiff(g, f), similar(f, g)) for f, g in pairs]
+        assert any(a[0] for a in answers) and not all(a[0] for a in answers)
         assert logts._interned == interned and logts._products == products
         assert all(logts._interned[k] is m for k, m in interned.items())
 
     def test_cross_products_keep_the_term_pair_budget(self, monkeypatch):
         f, g = next((f, g) for f, g in _unequal_forms(random.Random(79), 20, 5, 3) if len(f.num) * len(g.den) > 2)
         monkeypatch.setattr(logts, "MAX_TERM_PAIRS", 2)
-        monkeypatch.setattr(logts, "CROSS_EQ_MIN_PAIRS", 0)
         message = f"a product of {len(f.num)} by {len(g.den)} terms"
         with pytest.raises(BudgetExceeded, match=message):
             vdiff(f, g)

@@ -538,13 +538,11 @@ class TestDifferenceKernel:
         assert leads[False, True, False] + leads[False, True, True] >= 50
         assert leads[False, False, True] >= 50 and leads[False, False, False] >= 50
 
-    def test_equality_is_the_same_on_both_sides_of_the_cut_off(self, monkeypatch):
+    def test_equality_matches_the_difference(self):
         pairs = _vdiff_pairs(seed=41, count=150)
         expected = [(f - g).is_zero() for f, g in pairs]
         assert sum(expected) >= 100
-        for cut in (0, 10 ** 9):
-            monkeypatch.setattr(logts, "CROSS_EQ_MIN_PAIRS", cut)
-            assert [f == g for f, g in pairs] == expected
+        assert [f == g for f, g in pairs] == expected
 
     def test_equal_leading_terms_read_below_the_lead(self):
         f = Frac(Series({Monomial(V("[1]")): 2, Monomial(V("[0, 1]")): 3}))

@@ -268,6 +268,13 @@ class TestYardstick:
             assert (verdict.verdict, verdict.rule) == (HOLDS, "constructive-step")
             assert recheck_yardstick(desc, verdict, probes=40, derived=True)
 
+    @pytest.mark.parametrize("kind", [SMALL_INT, SMALL_EXP_INT, BIG_INT])
+    def test_derived_yardstick_checks_real_steps(self, kind, monkeypatch):
+        calls = []
+        monkeypatch.setattr(setprops, "step_bound", lambda g: calls.append(g) or extend.step_bound(g))
+        verdict = has_derived_yardstick(s_descriptor(example(kind)))
+        assert verdict.verdict == HOLDS and len(calls) >= 3
+
     def test_derived_yardstick_requires_a_half(self):
         with pytest.raises(UnsupportedDescriptor):
             has_derived_yardstick(LessThan(V("[2]")))

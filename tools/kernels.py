@@ -11,16 +11,22 @@ so that time the thread spends preempted on a shared host does not count).
 Inputs are seeded and the same on every checkout.  Kernels:
 
   series_mul_unit       s * 1 on random series of up to 4 terms
-  series_mul_general    s * t on random series of up to 4 terms, memo warm
-                        (30 pairs, so that both monomial tables hold them)
+  series_mul_general    s * t on random series of up to 4 terms, timed on
+                        the batch's second pass, so that every term product
+                        is a hit in Monomial.__mul__'s memo (30 pairs, so
+                        that both monomial tables hold them)
   monomial_mul_fresh    a * b whose product is in neither table
-  monomial_mul_memo     the same a * b again, read from the product memo
+  monomial_mul_memo     the same a * b again, a hit in Monomial.__mul__'s
+                        product memo
   derivative_first      s.derivative() on a series not differentiated yet
   derivative_repeat     the same call again on the same series
   frac_eq_cross         f == g for f (up to 8 numerator and 4 denominator
                         terms) against itself over another denominator,
                         tables cleared before the inputs are built (30
-                        pairs; two thirds reach logts.CROSS_EQ_MIN_PAIRS)
+                        pairs; two thirds form 24 term pairs or more)
+  frac_eq_small         the same with up to 2 numerator and 2 denominator
+                        terms, at most 16 term pairs: the cross kernel
+                        packs the monomials of small calls too
   vdiff_cross           vdiff(f, g) for g = f plus a smaller term, over
                         another denominator (30 pairs, built as above)
   kaplansky_check       pcseq.kaplansky_check on the quotient-limit pair
@@ -120,7 +126,7 @@ def _derivative_repeat(logts, rep: int) -> float:
     return _timed(ops)
 
 
-def _cross_pairs(logts, rep: int, perturb: bool) -> list:
+def _cross_pairs(logts, rep: int, perturb: bool, num_terms: int = 8, den_terms: int = 4) -> list:
     """f and f (plus a term below its leading one, when perturb) over
     another denominator: equal leading terms, unequal denominators."""
     from aclab.ogroup import GroupElem
@@ -128,7 +134,8 @@ def _cross_pairs(logts, rep: int, perturb: bool) -> list:
     rng = random.Random(rep)
     pairs = []
     for _ in range(GENERAL_BATCH):
-        f = logts.Frac(logts.random_series(rng, max_terms=8), logts.random_series(rng, max_terms=4))
+        f = logts.Frac(logts.random_series(rng, max_terms=num_terms),
+                       logts.random_series(rng, max_terms=den_terms))
         h = logts.Series.ONE + logts.Series.monomial(
             logts.Monomial(GroupElem([(rng.randint(0, 2), -1)])), rng.choice([1, -2]))
         g = f
@@ -141,6 +148,10 @@ def _cross_pairs(logts, rep: int, perturb: bool) -> list:
 
 def _frac_eq_cross(logts, rep: int) -> float:
     return _timed([lambda f=f, g=g: f == g for f, g in _cross_pairs(logts, rep, False)])
+
+
+def _frac_eq_small(logts, rep: int) -> float:
+    return _timed([lambda f=f, g=g: f == g for f, g in _cross_pairs(logts, rep, False, 2, 2)])
 
 
 def _vdiff_cross(logts, rep: int) -> float:
@@ -221,6 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         "derivative_first": (logts, _derivative_first),
         "derivative_repeat": (logts, _derivative_repeat),
         "frac_eq_cross": (logts, _frac_eq_cross),
+        "frac_eq_small": (logts, _frac_eq_small),
         "vdiff_cross": (logts, _vdiff_cross),
         "kaplansky_check": (pcseq, _kaplansky_check),
         "lambda_chunk": (pcseq, _lambda_chunk),
@@ -237,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         samples = [kernel(module, rep) for rep in range(REPEATS)]
         batch = {"lambda_chunk": 1, "identity_chunk": 1, "kaplansky_check": 1,
                  "series_mul_general": GENERAL_BATCH, "frac_eq_cross": GENERAL_BATCH,
-                 "vdiff_cross": GENERAL_BATCH}.get(name, BATCH)
+                 "frac_eq_small": GENERAL_BATCH, "vdiff_cross": GENERAL_BATCH}.get(name, BATCH)
         results[name] = {"ns_per_op": statistics.median(samples), "repeats": REPEATS,
                          "batch": batch}
         print(f"{name:20s} {results[name]['ns_per_op']:14,.0f} ns/op")
