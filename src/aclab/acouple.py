@@ -18,7 +18,6 @@ table over the classification outcome.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, takewhile
 from math import gcd
@@ -37,6 +36,7 @@ from .ogroup import (
     unit,
     vector_json,
 )
+from .record import Record
 
 
 def psi(gamma: ExtLike) -> GammaInf:
@@ -130,8 +130,7 @@ class Report:
         }
 
 
-@dataclass(frozen=True)
-class CoupleDescriptor:
+class CoupleDescriptor(Record):
     """Names one of the shipped couple instances.
 
     kind is one of ``trunc`` (support restricted below ``n``), ``logfull``
@@ -162,8 +161,7 @@ class CoupleDescriptor:
         return f"trunc:{self.n}" if self.kind == "trunc" else self.kind
 
 
-@dataclass(frozen=True)
-class TrichotomyResult:
+class TrichotomyResult(Record):
     """Exactly one of: grounded with its maximum psi value, a gap element, or
     asymptotic integration."""
 

@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -30,6 +29,7 @@ from .acouple import (
 )
 from .logts import Frac, Monomial, Series, check_axioms, dominance, ell
 from .ogroup import GroupElem, vector_json
+from .record import Record, setfield
 
 DEFAULT_SEED = 17
 # Expression bounds: parse recurses 4 frames per nesting level, evaluate 1 per
@@ -100,54 +100,70 @@ DASH_HINT = "; an expression starting with '-' goes after '--', as in 'aclab val
 # ---------------------------------------------------------------------------
 # Expression AST.
 
-@dataclass(frozen=True)
-class Num:
+# The parser builds a node per token, so each node class sets its fields
+# directly instead of through Record's generic constructor.
+
+class Num(Record):
     value: Fraction
 
+    def __init__(self, value: Fraction) -> None:
+        setfield(self, "value", value)
 
-@dataclass(frozen=True)
-class Gen:
+
+class Gen(Record):
     index: int
 
+    def __init__(self, index: int) -> None:
+        setfield(self, "index", index)
 
-@dataclass(frozen=True)
-class Neg:
+
+class _Unary(Record):
     a: "Ast"
 
-
-@dataclass(frozen=True)
-class Add:
-    a: "Ast"
-    b: "Ast"
+    def __init__(self, a: "Ast") -> None:
+        setfield(self, "a", a)
 
 
-@dataclass(frozen=True)
-class Sub:
+class _Binary(Record):
     a: "Ast"
     b: "Ast"
 
-
-@dataclass(frozen=True)
-class Mul:
-    a: "Ast"
-    b: "Ast"
+    def __init__(self, a: "Ast", b: "Ast") -> None:
+        setfield(self, "a", a)
+        setfield(self, "b", b)
 
 
-@dataclass(frozen=True)
-class Div:
-    a: "Ast"
-    b: "Ast"
+class Neg(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Pow:
+class Add(_Binary):
+    pass
+
+
+class Sub(_Binary):
+    pass
+
+
+class Mul(_Binary):
+    pass
+
+
+class Div(_Binary):
+    pass
+
+
+class Pow(Record):
     base: "Ast"
     exp: Fraction
 
+    def __init__(self, base: "Ast", exp: Fraction) -> None:
+        setfield(self, "base", base)
+        setfield(self, "exp", exp)
 
-@dataclass(frozen=True)
-class Der:
-    a: "Ast"
+
+class Der(_Unary):
+    pass
 
 
 Ast = Union[Num, Gen, Neg, Add, Sub, Mul, Div, Pow, Der]
@@ -156,11 +172,15 @@ Ast = Union[Num, Gen, Neg, Add, Sub, Mul, Div, Pow, Der]
 # ---------------------------------------------------------------------------
 # Tokenizer and recursive-descent parser.
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str
     text: str
     pos: int
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        setfield(self, "kind", kind)
+        setfield(self, "text", text)
+        setfield(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[_Token]:

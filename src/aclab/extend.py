@@ -32,7 +32,6 @@ gain assertion, never report a wrong valuation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Optional
@@ -40,6 +39,7 @@ from typing import Optional
 from .acouple import Report, integrate, successor
 from .logts import Frac, Monomial, Series, ell, vdiff, x_elem
 from .ogroup import GroupElem, unit, vector_json
+from .record import Record
 
 SMALL_INT = "smallint"
 SMALL_EXP_INT = "smallexpint"
@@ -48,8 +48,7 @@ BIG_INT = "bigint"
 KINDS = (SMALL_INT, SMALL_EXP_INT, BIG_INT)
 
 
-@dataclass(frozen=True)
-class ExtScenario:
+class ExtScenario(Record):
     kind: str
     s: Frac
     g: Optional[Frac] = None
@@ -67,8 +66,7 @@ class ExtScenario:
         return v
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     eps: Frac
     gamma: GroupElem
 
@@ -299,8 +297,7 @@ _BIG_POOL = [Fraction(0), Fraction(-1), Fraction(-1, 2), Fraction(-3), Fraction(
 _TAIL_POOL = [Fraction(n) for n in (-3, -2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-5, 2)]
 
 
-@dataclass(frozen=True)
-class ExtS:
+class ExtS(Record):
     """The set S of the shipped scenario of one kind, as a set descriptor.
 
     S has no greatest element and is closed under the step

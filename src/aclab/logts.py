@@ -18,7 +18,6 @@ constants are exactly the rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from bisect import insort
@@ -27,14 +26,18 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .acouple import Report, integrate, psi
 from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, _from_items, _merge, as_rat, ones, unit
+from .record import Record
 
 
 # Monomials are hash-consed (Filliatre & Conchon, "Type-safe modular
 # hash-consing", 2006): ``Monomial(g)`` returns the live instance for ``g``
 # from an intern table, and each ordered product of two instances is memoised.
-# Both tables are emptied together when either reaches its cap, which bounds
-# their memory.  A monomial built before a clear is then a different object
-# from an equal one built after it, so equality falls back to comparing
+# A table that reaches its cap is emptied, which bounds their memory.  A full
+# product memo empties only itself: each entry holds its factors, so their ids
+# stay pinned, and the interned monomials stay live for the next products.  A
+# full intern table empties both, so the memo never returns an instance the
+# table has dropped.  A monomial built before a clear is then a different
+# object from an equal one built after it, so equality falls back to comparing
 # exponent vectors and no result depends on which instance is used.
 # ``Monomial.__mul__`` is the only reader and writer of ``_products``; on a
 # miss it interns the sum of the two exponent triples directly.  No comparison
@@ -76,7 +79,7 @@ class Monomial:
         if hit is not None:
             return hit[2]
         if len(_products) >= PRODUCT_CAP:
-            _clear_tables()
+            _products.clear()
         product = _intern(_merge(self.exponents.key, other.exponents.key, False))
         _products[key] = (self, other, product)
         return product
@@ -909,8 +912,7 @@ def _make_bounded(f: Frac) -> Frac:
     return f if f.valuation() >= GroupElem.ZERO else f.inv()
 
 
-@dataclass(frozen=True)
-class OdeComparison:
+class OdeComparison(Record):
     """Result of comparing two solutions of y'' = ell * y'."""
 
     c0: Fraction

@@ -18,7 +18,6 @@ for a given element s, the first n at which s visibly parts ways with
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -26,17 +25,23 @@ from typing import Optional
 from .acouple import Report
 from .logts import Frac, ell, logderiv, random_frac, vdiff
 from .ogroup import GammaInf, GroupElem, ones, vector_json
+from .record import Record, setfield
 
 YES = "yes"
 NO = "no"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class SeqVerdict:
+class SeqVerdict(Record, compare=("status", "index")):
     status: str
-    index: Optional[int] = None
-    witness: dict = field(default_factory=dict, compare=False)
+    index: Optional[int]
+    witness: dict
+
+    def __init__(self, status: str, index: Optional[int] = None,
+                 witness: Optional[dict] = None) -> None:
+        setfield(self, "status", status)
+        setfield(self, "index", index)
+        setfield(self, "witness", {} if witness is None else witness)
 
     def to_dict(self) -> dict:
         out = {"status": self.status}
@@ -221,8 +226,7 @@ def lambda_free_witness(s: Frac, limit: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # Rational images of pseudocauchy sequences.
 
-@dataclass(frozen=True)
-class RatFunc:
+class RatFunc(Record):
     """A one-variable rational function with exact coefficients,
     low-degree-first."""
 

@@ -23,7 +23,6 @@ checked with ``extend.step_bound`` on the shipped scenario.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -31,6 +30,7 @@ from . import extend
 from .acouple import Report, chi, der, first_non_one, integrate, sample_elem, sample_nonzero
 from .extend import ExtS, step_bound
 from .ogroup import GroupElem, ones, unit, vector_json
+from .record import Record
 
 K_MAX = 32
 
@@ -43,26 +43,22 @@ class UnsupportedDescriptor(Exception):
     """Raised instead of ever returning a wrong answer."""
 
 
-@dataclass(frozen=True)
-class LessThan:
+class LessThan(Record):
     bound: GroupElem
 
 
-@dataclass(frozen=True)
-class LessEq:
+class LessEq(Record):
     bound: GroupElem
 
 
-@dataclass(frozen=True)
-class PsiDown:
+class PsiDown(Record):
     """The downward closure of the psi image, equal to (Gamma^<)'."""
 
 
 PSI_DOWN = PsiDown()
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(Record):
     alpha: GroupElem
     n: int
     inner: "SetDescriptor"
@@ -72,21 +68,18 @@ class Affine:
             raise ValueError("affine scale must be a positive integer")
 
 
-@dataclass(frozen=True)
-class DownClosure:
+class DownClosure(Record):
     inner: "SetDescriptor"
 
 
-@dataclass(frozen=True)
-class IntImage:
+class IntImage(Record):
     inner: "SetDescriptor"
 
 
 SetDescriptor = Union[LessThan, LessEq, PsiDown, Affine, DownClosure, IntImage, ExtS]
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(Record):
     verdict: str
     rule: str
     witness: Optional[dict] = None

@@ -480,6 +480,17 @@ class TestHashConsing:
         assert len(logts._interned) <= 8 and len(logts._products) <= 16
         assert got == expected
 
+    def test_a_full_product_memo_keeps_the_interned_monomials(self, monkeypatch):
+        monkeypatch.setattr(logts, "PRODUCT_CAP", 4)
+        logts._clear_tables()
+        pool = _distinct_monomials(4, index=6)
+        for a in pool:
+            for b in pool:
+                a * b
+        assert len(logts._products) <= 4
+        rebuilt = _distinct_monomials(4, index=6)
+        assert all(m is n for m, n in zip(rebuilt, pool))
+
     @given(monomials(), monomials())
     def test_product_is_the_monomial_of_the_summed_exponents(self, a, b):
         exps = a.exponents + b.exponents

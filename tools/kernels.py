@@ -41,6 +41,14 @@ Inputs are seeded and the same on every checkout.  Kernels:
   cli_val               cli.main(["val", "--", "x+1"]) in process, stdout
                         captured, after one warm-up: parser, parse, output
   cli_classify          cli.main(["classify", "trunc:3"]), the same way
+  record_new            one cli._Token, one cli.Add and one pcseq.SeqVerdict
+                        built: the records the CLI parser and the pcseq
+                        checks make most often
+  import_cli            import aclab.cli in a fresh interpreter that neither
+                        writes bytecode (-B) nor finds any: it imports a
+                        copy of the package made without __pycache__, so
+                        the row includes compiling aclab's source (one
+                        import per repeat)
 """
 
 from __future__ import annotations
@@ -52,8 +60,11 @@ import json
 import os
 import platform
 import random
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -214,6 +225,29 @@ def _cli_kernel(argv: list[str]):
     return kernel
 
 
+def _record_new(cli, rep: int) -> float:
+    from aclab.pcseq import SeqVerdict
+    token, add, x = cli._Token, cli.Add, cli.Gen(0)
+    return _timed([lambda: (token("num", "12", 4), add(x, x), SeqVerdict("yes", 3))] * BATCH)
+
+
+def _import_kernel(src: str):
+    """CPU ns of ``import aclab.cli`` in a fresh interpreter, on a copy of
+    the package made without its bytecode cache."""
+    code = ("import time; start = time.thread_time_ns(); import aclab.cli; "
+            "print(time.thread_time_ns() - start)")
+
+    def kernel(module, rep: int) -> float:
+        with tempfile.TemporaryDirectory(prefix="aclab-import-") as copy:
+            shutil.copytree(os.path.join(src, "aclab"), os.path.join(copy, "aclab"),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            env = {**os.environ, "PYTHONPATH": copy}
+            out = subprocess.run([sys.executable, "-B", "-c", code], cwd=copy, env=env,
+                                 capture_output=True, text=True, check=True).stdout
+        return float(out)
+    return kernel
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -243,11 +277,13 @@ def main(argv: list[str] | None = None) -> int:
         "identity_chunk": (acouple, _identity_chunk),
         "cli_val": (cli, _cli_kernel(["val", "--", "x+1"])),
         "cli_classify": (cli, _cli_kernel(["classify", "trunc:3"])),
+        "record_new": (cli, _record_new),
+        "import_cli": (None, _import_kernel(os.path.abspath(args.src))),
     }
     results = {}
     for name, (module, kernel) in kernels.items():
         samples = [kernel(module, rep) for rep in range(REPEATS)]
-        batch = {"lambda_chunk": 1, "identity_chunk": 1, "kaplansky_check": 1,
+        batch = {"lambda_chunk": 1, "identity_chunk": 1, "kaplansky_check": 1, "import_cli": 1,
                  "series_mul_general": GENERAL_BATCH, "frac_eq_cross": GENERAL_BATCH,
                  "frac_eq_small": GENERAL_BATCH, "vdiff_cross": GENERAL_BATCH}.get(name, BATCH)
         results[name] = {"ns_per_op": statistics.median(samples), "repeats": REPEATS,
