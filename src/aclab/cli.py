@@ -586,7 +586,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     couple = CoupleDescriptor.parse(args.couple)
     if couple.kind == "trunc" and couple.n > MAX_TRUNC_BOUND:
         raise ExprSemanticError(f"truncation bound {couple.n} is above the limit {MAX_TRUNC_BOUND}")
-    result = classify_couple(couple, seed=args.seed)
+    result = classify_couple(couple)
     payload = result.to_dict()
     if args.lambda_free is not None:
         payload["closures"] = closure_count(result, args.lambda_free)
@@ -627,12 +627,16 @@ def _cmd_set(args: argparse.Namespace) -> int:
     desc = parse_descriptor(args.descriptor)
     query = args.query.strip()
     try:
-        if query == "jammed":
-            payload = setprops.is_jammed(desc).to_dict()
-        elif query == "yardstick":
-            payload = setprops.has_yardstick(desc).to_dict()
-        elif query == "derived-yardstick":
-            payload = setprops.has_derived_yardstick(desc).to_dict()
+        if query in ("jammed", "yardstick", "derived-yardstick"):
+            decide, check = {"jammed": (setprops.is_jammed, setprops.recheck_jammed),
+                             "yardstick": (setprops.has_yardstick, setprops.recheck_yardstick),
+                             "derived-yardstick": (setprops.has_derived_yardstick,
+                                                   setprops.recheck_yardstick)}[query]
+            verdict = decide(desc)
+            if not check(desc, verdict):
+                raise ArithmeticError(
+                    f"{verdict.rule} certificate failed on {setprops.describe(desc)}")
+            payload = verdict.to_dict()
         elif query == "sup":
             sup = setprops.sup_in_divhull(desc)
             payload = {"sup": None if sup is None else vector_json(sup)}
@@ -680,7 +684,7 @@ def _add_classify(sub, seed: int) -> None:
     p = sub.add_parser("classify", help="trichotomy class of a couple")
     p.add_argument("couple", help="logfull, loggap, or trunc:N")
     p.add_argument("--lambda-free", choices=["yes", "no", "unknown"], default=None)
-    _common(p, _cmd_classify).add_argument("--seed", type=int, default=seed)
+    _common(p, _cmd_classify)
 
 
 def _add_suite(sub, seed: int) -> None:

@@ -84,9 +84,6 @@ class Monomial:
         _products[key] = (self, other, product)
         return product
 
-    def __pow__(self, power: RatLike) -> "Monomial":
-        return Monomial(self.exponents.scale(as_rat(power)))
-
     def inv(self) -> "Monomial":
         return Monomial(-self.exponents)
 

@@ -8,10 +8,29 @@ never guess: Holds and Fails are produced only where the structure of the
 group makes the quantifiers finite (rule layer), and sampled escapes that
 no such rule backs give Unknown.
 
+One exact checker, behind ``recheck_jammed`` and ``recheck_yardstick``,
+decides Holds and Fails certificates without sampling.  It checks that
+the rule applies to the descriptor's class, checks the stated data, and
+follows transports to the innermost certificate.  It trusts these lemmas:
+
+* psi-downset: a member of psidown that is >= ones(k) agrees with ones(k)
+  below index k.
+* affine- and downclosure-invariance: both maps keep jammedness and its
+  failure.  downward-transport: downward closure keeps a yardstick base.
+* integral-transport: integrate turns the derived step on S into the step
+  on its image (the yardstick telescope).
+* escape-monotone-downset: both step maps are strictly increasing, so on a
+  downward-closed set one escape refutes every base: below the escape
+  directly, above it because larger members step above the escape's step.
+* negative-cone: the step keeps a negative leading coefficient.
+* coordinate-cap-escape: a capped set holds gamma + e_1 with each gamma.
+* step-closed-handle, constructive-step: each shipped scenario set is
+  closed under the step, and under the derived step above v(s).
+
 The nontrivial proper convex subgroups of the group are exactly the tails
 Delta_k = {gamma : gamma_i = 0 for all i < k}, k >= 1, because archimedean
 classes are indexed by the first nonzero coordinate.  Jammedness therefore
-quantifies over these tails only, up to K_MAX.
+quantifies over these tails only.
 
 Extension-scenario sets enter as ``ExtS(kind)``, defined in ``extend``
 and keyed by the scenario kind alone: the set of the shipped scenario of
@@ -31,8 +50,6 @@ from .acouple import Report, chi, der, first_non_one, integrate, sample_elem, sa
 from .extend import ExtS, step_bound
 from .ogroup import GroupElem, ones, unit, vector_json
 from .record import Record
-
-K_MAX = 32
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -289,20 +306,6 @@ def _coord0_capped(desc: SetDescriptor) -> Optional[Fraction]:
     return None
 
 
-def _jam_escape_ok(desc: SetDescriptor, base: GroupElem, bump: GroupElem, k: int) -> bool:
-    other = base + bump
-    return (
-        member(desc, base)
-        and member(desc, other)
-        and other >= base
-        and not _in_tail(other - base, k)
-    )
-
-
-def _in_tail(gamma: GroupElem, k: int) -> bool:
-    return gamma.is_zero() or gamma.first_index() >= k
-
-
 def is_jammed(desc: SetDescriptor) -> PropertyVerdict:
     """Whether, for every tail subgroup Delta_k, some member gamma_0 traps
     all members above it inside gamma_0 + Delta_k."""
@@ -321,12 +324,9 @@ def is_jammed(desc: SetDescriptor) -> PropertyVerdict:
     cap = _coord0_capped(desc)
     if cap is not None:
         # Every member admits the escape gamma + e_1 at tail index 2, so no
-        # base can trap; spot instances are recorded for re-verification.
-        samples = []
-        for i in (0, 1, 2):
-            base = _cofinal_member(desc, i)
-            if base is not None and _jam_escape_ok(desc, base, unit(1), 2):
-                samples.append({"base": vector_json(base), "escape": vector_json(base + unit(1))})
+        # base can trap; the checker verifies the recorded instances.
+        samples = [{"base": vector_json(b), "escape": vector_json(b + unit(1))}
+                   for b in (_cofinal_member(desc, i) for i in (0, 1, 2))]
         return PropertyVerdict(FAILS, "coordinate-cap-escape",
                                {"level": 2, "bump": vector_json(unit(1)),
                                 "coord0_cap": str(cap), "samples": samples})
@@ -349,34 +349,6 @@ def _transport_verdict(inner: PropertyVerdict, rule: str) -> PropertyVerdict:
     if inner.witness:
         witness["inner_witness"] = inner.witness
     return PropertyVerdict(inner.verdict, rule, witness)
-
-
-def recheck_jammed(desc: SetDescriptor, verdict: PropertyVerdict) -> bool:
-    """Re-verify a jammedness verdict's certificate by sampling: for Holds,
-    the stated bases trap sampled members; for Fails, the stated bump
-    escapes from sampled members of the set the certificate was made for."""
-    rng = random.Random(5)
-    if verdict.verdict == HOLDS:
-        for k in (1, 2, 3, K_MAX):
-            base = _cofinal_member(desc, k - 1)
-            if base is None or not member(desc, base):
-                return False
-            for _ in range(60):
-                g = sample_member(desc, rng)
-                if g >= base and not _in_tail(g - base, k):
-                    return False
-        return True
-    if verdict.verdict == FAILS:
-        w = verdict.witness or {}
-        if verdict.rule in ("affine-invariance", "downclosure-invariance"):
-            inner = PropertyVerdict(FAILS, w.get("inherited_from", ""), w.get("inner_witness"))
-            return isinstance(desc, (Affine, DownClosure)) and recheck_jammed(desc.inner, inner)
-        if "bump" not in w or "level" not in w:
-            return False
-        bump = GroupElem.from_list(w["bump"])
-        return all(_jam_escape_ok(desc, sample_member(desc, rng), bump, int(w["level"]))
-                   for _ in range(60))
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +410,10 @@ def _less_than_escape(bound: GroupElem) -> dict:
 
 
 def _yardstick_search(desc: SetDescriptor, step=_step, rule_prefix: str = "") -> PropertyVerdict:
-    """Search for members whose step leaves the set.
-
-    Both step maps are strictly increasing, so on a downward-closed set a
-    single verified escape refutes every base: below the escape directly,
-    and above it because steps of larger members dominate an element
-    already outside a downward-closed set.  Elsewhere escapes only refute
-    bases below them, so they give Unknown, as does a membership test the
-    set does not support.
+    """Search for members whose step leaves the set.  An escape decides
+    Fails on a downward-closed set only (escape-monotone-downset in the
+    module docstring); elsewhere escapes only refute bases below them, so
+    they give Unknown, as does a membership test the set does not support.
     """
     rng = random.Random(2031)
     escapes: list[GroupElem] = []
@@ -481,49 +449,16 @@ def has_derived_yardstick(desc: SetDescriptor) -> PropertyVerdict:
     if _has_greatest(desc):
         return _greatest_element()
     if isinstance(desc, ExtS):
-        base = desc.scenario.s_valuation()
-        rng = random.Random(17)
-        # The cofinal members lie above the base for every kind; the seeded
-        # samples rarely do for the small kinds.
-        for g in [desc.cofinal(i) for i in (1, 2, 3)] + [desc.sample(rng) for _ in range(25)]:
-            if not g > base:
-                continue
-            stepped = step_bound(g)
-            if not (stepped > g and extend.member(desc.scenario, stepped)):
-                # The shipped sets are closed under the step, so this is a
-                # broken certificate, not a sampled Fails.
-                raise ArithmeticError(
-                    f"constructive-step certificate failed: the step from {g} "
-                    f"leaves (exts {desc.kind})")
-        return PropertyVerdict(HOLDS, "constructive-step",
-                               {"base": vector_json(base), "scenario": desc.kind,
-                                "certificate": "each step re-verified exactly by the "
-                                               "extension machinery"})
+        verdict = PropertyVerdict(HOLDS, "constructive-step",
+                                  {"base": vector_json(desc.scenario.s_valuation()),
+                                   "scenario": desc.kind,
+                                   "certificate": "each step re-verified exactly by the "
+                                                  "extension machinery"})
+        if recheck_yardstick(desc, verdict):
+            return verdict
+        # The shipped sets are closed under the step: this is a broken certificate, not a Fails.
+        raise ArithmeticError(f"constructive-step certificate failed on (exts {desc.kind})")
     return _yardstick_search(desc, step=step_bound, rule_prefix="derived-")
-
-
-def recheck_yardstick(desc: SetDescriptor, verdict: PropertyVerdict,
-                      probes: int = 120, derived: bool = False) -> bool:
-    """Re-verify a yardstick verdict's certificate by sampling."""
-    rng = random.Random(6)
-    step = step_bound if derived else _step
-    if verdict.verdict == HOLDS:
-        base = (verdict.witness or {}).get("base")
-        base = None if base is None else GroupElem.from_list(base)
-        for _ in range(probes):
-            g = sample_member(desc, rng)
-            if base is not None and not g > base:
-                continue
-            if not member(desc, step(g)):
-                return False
-        return True
-    if verdict.verdict == FAILS:
-        w = (verdict.witness or {}).get("witness")
-        if w is None:
-            return False
-        gamma = GroupElem.from_list(w)
-        return member(desc, gamma) and not member(desc, step(gamma))
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +481,107 @@ def sup_in_divhull(desc: SetDescriptor) -> Optional[GroupElem]:
         raise UnsupportedDescriptor(f"supremum of {describe(desc)} is not decided")
 
     return sup(desc)
+
+
+# ---------------------------------------------------------------------------
+# The certificate checker; the lemmas it trusts are in the module docstring.
+
+_TRANSPORTS = {"affine-invariance": Affine, "downclosure-invariance": DownClosure,
+               "downward-transport": DownClosure}
+# Rule -> the verdicts it certifies, for each property.
+_JAMMED_RULES = {"principal-downset": {HOLDS}, "psi-downset": {HOLDS},
+                 "coordinate-cap-escape": {FAILS}, "affine-invariance": {HOLDS, FAILS},
+                 "downclosure-invariance": {HOLDS, FAILS}}
+_YARDSTICK_RULES = {"negative-cone": {HOLDS}, "step-closed-handle": {HOLDS},
+                    "constructive-step": {HOLDS}, "integral-transport": {HOLDS},
+                    "downward-transport": {HOLDS}, "cofinal-escape": {FAILS},
+                    "escape-monotone-downset": {FAILS},
+                    "derived-escape-monotone-downset": {FAILS}}
+
+
+def _vector(w: dict, key: str) -> GroupElem:
+    return GroupElem.from_list(w[key])
+
+
+def _escapes(desc: SetDescriptor, w: dict, step) -> bool:
+    """The stated witness is a member whose stated step leaves the set."""
+    g = _vector(w, "witness")
+    return member(desc, g) and not member(desc, step(g)) and _vector(w, "stepped") == step(g)
+
+
+def _constructive_step(desc: SetDescriptor, base: GroupElem) -> bool:
+    """The base is a member at or above v(s), and the derived step from each
+    of cofinal(1..3), members above it, lands in the set above the start."""
+    if not isinstance(desc, ExtS):
+        return False
+    steps = [(g, step_bound(g)) for g in map(desc.cofinal, (1, 2, 3))]
+    return (member(desc, base) and base >= desc.scenario.s_valuation()
+            and all(base < g < s and member(desc, g) and member(desc, s) for g, s in steps))
+
+
+def _certified(desc: SetDescriptor, verdict: PropertyVerdict, rules: dict) -> bool:
+    """Whether a Holds or Fails certificate, under a rule of ``rules``,
+    proves its claim about desc; missing or malformed data fails."""
+    if verdict.verdict not in (HOLDS, FAILS):
+        return True
+    w, rule = verdict.witness or {}, verdict.rule
+    try:
+        if verdict.verdict not in rules.get(rule, ()):
+            return False
+        if rule in _TRANSPORTS:
+            inner = PropertyVerdict(verdict.verdict, w["inherited_from"], w.get("inner_witness"))
+            return (isinstance(desc, _TRANSPORTS[rule])
+                    and w.get("base") == (inner.witness or {}).get("base")
+                    and _certified(desc.inner, inner, rules))
+        if rule in ("principal-downset", "psi-downset"):
+            # The stated bases are the family's; on (less b), b minus each lies in Delta_k.
+            sup = sup_in_divhull(desc)
+            bases = {k: _cofinal_member(desc, k - 1) for k in (1, 2, 3)}
+            return (isinstance(desc, LessThan if rule == "principal-downset" else PsiDown)
+                    and all(_vector(w["sample_bases"], k) == bases.get(int(k))
+                            for k in w["sample_bases"])
+                    and all(member(desc, b) and (sup is None or (sup - b).first_index() >= k)
+                            for k, b in bases.items()))
+        if rule == "coordinate-cap-escape":
+            cap, bump = _coord0_capped(desc), _vector(w, "bump")
+            pairs = [(_vector(s, "base"), _vector(s, "escape")) for s in w["samples"]]
+            return (cap is not None and w["coord0_cap"] == str(cap) and bump == unit(1)
+                    and w["level"] == 2
+                    and all(member(desc, b) and member(desc, e) and e == b + bump for b, e in pairs))
+        if rule == "cofinal-escape":
+            # The witness is top - e_t/2, top being b on (less b) or ones(t)
+            # on psidown; each later member of the family steps by e_(m+1),
+            # m = first_index(top), out of the set when t >= m + 2.
+            g = _vector(w, "witness")
+            top = desc.bound if isinstance(desc, LessThan) else ones(first_non_one(g))
+            t = (top - g).first_index()
+            return (isinstance(desc, (LessThan, PsiDown)) and top - g == unit(t).div(2)
+                    and t >= top.first_index() + 2 and _escapes(desc, w, _step))
+        if rule.endswith("escape-monotone-downset"):
+            step = _step if rule == "escape-monotone-downset" else step_bound
+            return is_downward_closed(desc) and _escapes(desc, w, step)
+        base = _vector(w, "base")
+        if rule == "negative-cone":
+            return isinstance(desc, LessThan) and desc.bound.is_zero() and member(desc, base)
+        if rule == "step-closed-handle":
+            return isinstance(desc, ExtS) and w["scenario"] == desc.kind and member(desc, base)
+        if rule == "integral-transport":
+            return (isinstance(desc, IntImage) and w["inherited_from"] == "constructive-step"
+                    and _constructive_step(desc.inner, der(base)))
+        return _constructive_step(desc, base) and w["scenario"] == desc.kind
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, UnsupportedDescriptor):
+        return False
+
+
+def recheck_jammed(desc: SetDescriptor, verdict: PropertyVerdict) -> bool:
+    """Check a jammedness verdict's certificate exactly."""
+    return _certified(desc, verdict, _JAMMED_RULES)
+
+
+def recheck_yardstick(desc: SetDescriptor, verdict: PropertyVerdict) -> bool:
+    """Check a yardstick or derived-yardstick verdict's certificate exactly;
+    its rule names the step map."""
+    return _certified(desc, verdict, _YARDSTICK_RULES)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ def test_json_flag_is_gone(monkeypatch):
     (["lambda", "301"], "lambda index 301 is above the limit 300"),
     (["extend", "step", "--kind", "smallint", "--iters", "351"], "step count 351 is above the limit 350"),
     (["suite", "lambda", "--len", "65"], "lambda prefix length 65 is above the limit 64"),
+    (["classify", "trunc:2", "--seed", "5"], "unrecognized arguments: --seed 5"),
 ])
 def test_usage_errors_are_json(capsys, monkeypatch, argv, needle):
     monkeypatch.delenv("ACLAB_SEED", raising=False)

@@ -253,20 +253,20 @@ class TestYardstick:
             desc = s_descriptor(example(kind))
             verdict = has_yardstick(desc)
             assert (verdict.verdict, verdict.rule) == (HOLDS, "step-closed-handle")
-            assert recheck_yardstick(desc, verdict, probes=40)
+            assert recheck_yardstick(desc, verdict)
 
     def test_integral_images_transport(self):
         desc = IntImage(s_descriptor(example(SMALL_INT)))
         verdict = has_yardstick(desc)
         assert (verdict.verdict, verdict.rule) == (HOLDS, "integral-transport")
-        assert recheck_yardstick(desc, verdict, probes=40)
+        assert recheck_yardstick(desc, verdict)
 
     def test_derived_yardstick_constructive(self):
         for kind in (SMALL_INT, SMALL_EXP_INT, BIG_INT):
             desc = s_descriptor(example(kind))
             verdict = has_derived_yardstick(desc)
             assert (verdict.verdict, verdict.rule) == (HOLDS, "constructive-step")
-            assert recheck_yardstick(desc, verdict, probes=40, derived=True)
+            assert recheck_yardstick(desc, verdict)
 
     @pytest.mark.parametrize("kind", [SMALL_INT, SMALL_EXP_INT, BIG_INT])
     def test_derived_yardstick_checks_real_steps(self, kind, monkeypatch):

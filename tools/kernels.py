@@ -41,6 +41,14 @@ Inputs are seeded and the same on every checkout.  Kernels:
   cli_val               cli.main(["val", "--", "x+1"]) in process, stdout
                         captured, after one warm-up: parser, parse, output
   cli_classify          cli.main(["classify", "trunc:3"]), the same way
+  cli_set               cli.main(["set", "(less [1])", "jammed"]), the same
+                        way: the verdict and the check of its certificate
+  jammed_recheck        setprops.recheck_jammed on a (less ...) Holds and on
+                        the shipped Fails, (down (int (exts smallint))),
+                        alternately
+  jammedness_suite      setprops.jammedness_suite as `aclab suite
+                        jammedness` runs it (with the shipped Fails), one
+                        run per repeat, after one warm-up
   record_new            one cli._Token, one cli.Add and one pcseq.SeqVerdict
                         built: the records the CLI parser and the pcseq
                         checks make most often
@@ -225,6 +233,21 @@ def _cli_kernel(argv: list[str]):
     return kernel
 
 
+def _jammed_recheck(cli, rep: int) -> float:
+    from aclab import setprops
+    pairs = []
+    for desc in (setprops.LessThan(cli.parse_vector("[1, -2, 1/2]")), cli._CLOSED_SMALL):
+        pairs.append((desc, setprops.is_jammed(desc)))
+    return _timed([lambda d=d, v=v: setprops.recheck_jammed(d, v) for d, v in pairs] * (BATCH // 2))
+
+
+def _jammedness_suite(cli, rep: int) -> float:
+    from aclab import setprops
+    if rep == 0:
+        setprops.jammedness_suite(0, fails_descriptor=cli._CLOSED_SMALL)
+    return _timed([lambda: setprops.jammedness_suite(rep + 1, fails_descriptor=cli._CLOSED_SMALL)])
+
+
 def _record_new(cli, rep: int) -> float:
     from aclab.pcseq import SeqVerdict
     token, add, x = cli._Token, cli.Add, cli.Gen(0)
@@ -277,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
         "identity_chunk": (acouple, _identity_chunk),
         "cli_val": (cli, _cli_kernel(["val", "--", "x+1"])),
         "cli_classify": (cli, _cli_kernel(["classify", "trunc:3"])),
+        "cli_set": (cli, _cli_kernel(["set", "(less [1])", "jammed"])),
+        "jammed_recheck": (cli, _jammed_recheck),
+        "jammedness_suite": (cli, _jammedness_suite),
         "record_new": (cli, _record_new),
         "import_cli": (None, _import_kernel(os.path.abspath(args.src))),
     }
@@ -284,6 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, (module, kernel) in kernels.items():
         samples = [kernel(module, rep) for rep in range(REPEATS)]
         batch = {"lambda_chunk": 1, "identity_chunk": 1, "kaplansky_check": 1, "import_cli": 1,
+                 "jammedness_suite": 1,
                  "series_mul_general": GENERAL_BATCH, "frac_eq_cross": GENERAL_BATCH,
                  "frac_eq_small": GENERAL_BATCH, "vdiff_cross": GENERAL_BATCH}.get(name, BATCH)
         results[name] = {"ns_per_op": statistics.median(samples), "repeats": REPEATS,
