@@ -427,24 +427,37 @@ def _coeff_bits(f: "Frac") -> int:
         for s in (f.num, f.den))
 
 
+# A denominator as (factor, multiplicity) pairs; see Frac.
+Factors = tuple[tuple[Series, int], ...]
+
+
 class Frac:
     """A quotient of two series in normal form.
 
-    Normalization divides numerator and denominator by the denominator's
-    leading term, so the denominator always has valuation 0 and leading
-    coefficient 1.  Valuation, sign, and leading coefficient then read
-    off the numerator directly.  No polynomial gcd is attempted, so equal
-    elements may have different normal forms.
+    The denominator is kept as a multiset of factors: ``_factors`` is a
+    tuple of ``(factor, multiplicity)`` pairs, and the element is ``num``
+    over the product of each factor to its multiplicity.  No polynomial gcd
+    is attempted, so equal elements may have different normal forms.
 
-    Invariant: every denominator leads with exactly ``1 * x^0``.  Hence
-    ``lead(n_f * d_g) == lead(n_f)`` for any two elements, which is what
-    ``vdiff`` (and through it the order and ``similar``) reads instead of
-    forming the quotient ``f - g``.  Equality compares the numerators under
-    equal denominators; otherwise their leading terms, then n_f*d_g against
-    n_g*d_f in the cross kernel, so no comparison builds a monomial.
+    Invariant: every factor leads with exactly ``1 * x^0``, no factor is 1,
+    and no two factors are equal; zero is ``0`` with no factors.  The
+    product of factors that lead with 1 leads with 1, so every denominator
+    has valuation 0, valuation, sign and leading coefficient read off the
+    numerator, and ``lead(n_f * c) == lead(n_f)`` for any product c of
+    factors, which is what ``vdiff`` (and through it the order and
+    ``similar``) reads instead of forming ``f - g``.  ``den`` is the
+    expanded product, built on first read and kept.
+
+    Products add the multisets and powers scale them, so equal factors
+    merge instead of multiplying out.  Sums, differences, ``==`` and
+    ``vdiff`` work over L, the lcm of the two multisets (the larger
+    multiplicity of each factor): under equal multisets they add or compare
+    the numerators; otherwise the numerators times the cofactors L/D_f and
+    L/D_g, and equality and ``vdiff`` compare those in the cross kernel, so
+    no comparison builds a monomial.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "_factors", "_den")
 
     ZERO: "Frac"
     ONE: "Frac"
@@ -452,8 +465,9 @@ class Frac:
     def __init__(self, num: Series, den: Series = Series.ONE) -> None:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        factors: Factors = ()
         if num.is_zero():
-            num, den = Series.ZERO, Series.ONE
+            num = Series.ZERO
         else:
             lead_mono, lead_coeff = den.leading()
             if lead_coeff != 1 or not lead_mono.exponents.is_zero():
@@ -461,11 +475,23 @@ class Frac:
                 adjust_coeff = 1 / lead_coeff
                 num = num.mul_term(adjust_mono, adjust_coeff)
                 den = den.mul_term(adjust_mono, adjust_coeff)
+            # A series that leads with 1 * x^0 and has one term is 1.
+            if len(den) > 1:
+                factors = ((den, 1),)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_den", den if factors else Series.ONE)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Frac is immutable")
+
+    @property
+    def den(self) -> Series:
+        den = self._den
+        if den is None:
+            den = _expand(self._factors)
+            object.__setattr__(self, "_den", den)
+        return den
 
     @classmethod
     def from_rat(cls, value: RatLike) -> "Frac":
@@ -477,30 +503,33 @@ class Frac:
     def __add__(self, other: "Frac") -> "Frac":
         if not isinstance(other, Frac):
             return NotImplemented
-        if self.den == other.den:
-            return Frac(self.num + other.num, self.den)
-        return Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+        if self._factors == other._factors:
+            return _frac(self.num + other.num, self._factors, self._den)
+        factors, cf, cg = _over_lcm(self, other)
+        return _frac(self.num * cf + other.num * cg, factors)
 
     def __sub__(self, other: "Frac") -> "Frac":
+        if not isinstance(other, Frac):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "Frac":
-        out = Frac.__new__(Frac)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return _frac(-self.num, self._factors, self._den)
 
     def __mul__(self, other: "Frac") -> "Frac":
         if not isinstance(other, Frac):
             return NotImplemented
-        return Frac(self.num * other.num, self.den * other.den)
+        fa, fb = self._factors, other._factors
+        if not fa or not fb:
+            return _frac(self.num * other.num, fa or fb, self._den if fa else other._den)
+        return _frac(self.num * other.num, tuple((s, ka + kb) for s, ka, kb in _aligned(fa, fb)))
 
     def __truediv__(self, other: "Frac") -> "Frac":
         if not isinstance(other, Frac):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero element")
-        return Frac(self.num * other.den, self.den * other.num)
+        return self * other.inv()
 
     def inv(self) -> "Frac":
         if self.is_zero():
@@ -508,7 +537,7 @@ class Frac:
         return Frac(self.den, self.num)
 
     def scale(self, factor: RatLike) -> "Frac":
-        return Frac(self.num.scale(factor), self.den)
+        return _frac(self.num.scale(factor), self._factors, self._den)
 
     def __pow__(self, power: int) -> "Frac":
         if power < 0:
@@ -529,29 +558,39 @@ class Frac:
         return out
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Frac):
-            nf, ng = self.num, other.num
-            if self.den == other.den:
-                # Equal denominators in an integral domain: compare numerators.
-                return nf == ng
-            # Zero is stored over 1, so at most one side is zero here; the
-            # cross products lead with n_f and n_g.
-            if nf.is_zero() or ng.is_zero() or nf.leading() != ng.leading():
-                return False
-            return _cross_equal(nf, other.den, ng, self.den)
-        return NotImplemented
+        if not isinstance(other, Frac):
+            return NotImplemented
+        nf, ng = self.num, other.num
+        if self._factors == other._factors:
+            # Equal denominators in an integral domain: compare numerators.
+            return nf == ng
+        # Zero has no factors, so at most one side is zero here; the cross
+        # products lead with n_f and n_g.
+        if nf.is_zero() or ng.is_zero() or nf.leading() != ng.leading():
+            return False
+        _, cf, cg = _over_lcm(self, other)
+        return _cross_equal(nf, cf, ng, cg)
 
     def __hash__(self) -> int:
         raise TypeError("Frac is not hashable; normal forms are not unique")
 
     def derivative(self) -> "Frac":
-        n, d = self.num, self.den
-        if d == Series.ONE:
-            return Frac(n.derivative())
-        return Frac(n.derivative() * d - n * d.derivative(), d * d)
+        n, factors = self.num, self._factors
+        if not factors:
+            return _frac(n.derivative(), ())
+        # D'/D is the sum of k * d'/d over the factors d^k of D.  Over P, the
+        # product of the factors taken once, f' = (n'P - n * sum(k * d' * P/d))
+        # / (D * P): every multiplicity goes up by one.  The loop keeps P and
+        # the sum over the factors read so far.
+        whole, logder = Series.ONE, Series.ZERO
+        for d, k in factors:
+            dd = d.derivative() if k == 1 else d.derivative().scale(k)
+            logder = logder * d + dd * whole
+            whole = whole * d
+        return _frac(n.derivative() * whole - n * logder, tuple((d, k + 1) for d, k in factors))
 
     def valuation(self) -> GammaInf:
-        # The denominator is normalized to valuation 0.
+        # Every denominator has valuation 0.
         return self.num.valuation()
 
     def sign(self) -> int:
@@ -565,24 +604,89 @@ class Frac:
         return self.num.leading()[1]
 
     def __lt__(self, other: "Frac") -> bool:
+        if not isinstance(other, Frac):
+            return NotImplemented
         return vdiff(self, other)[1] < 0
 
     def __le__(self, other: "Frac") -> bool:
+        if not isinstance(other, Frac):
+            return NotImplemented
         return vdiff(self, other)[1] <= 0
 
     def __gt__(self, other: "Frac") -> bool:
+        if not isinstance(other, Frac):
+            return NotImplemented
         return vdiff(self, other)[1] > 0
 
     def __ge__(self, other: "Frac") -> bool:
+        if not isinstance(other, Frac):
+            return NotImplemented
         return vdiff(self, other)[1] >= 0
 
     def __str__(self) -> str:
-        if self.den == Series.ONE:
+        if not self._factors:
             return str(self.num)
         return f"{self.num} | {self.den}"
 
     def __repr__(self) -> str:
         return f"Frac({str(self)})"
+
+
+def _frac(num: Series, factors: Factors, den: Optional[Series] = None) -> Frac:
+    """``num`` over ``factors``, which keep the ``Frac`` invariant; ``den``
+    is their expanded product when the caller has it.  Zero keeps no
+    factors."""
+    if not num._nums:
+        num, factors = Series.ZERO, ()
+    if not factors:
+        den = Series.ONE
+    elif den is None and len(factors) == 1 and factors[0][1] == 1:
+        den = factors[0][0]
+    out = object.__new__(Frac)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "_factors", factors)
+    object.__setattr__(out, "_den", den)
+    return out
+
+
+def _aligned(a: Factors, b: Factors) -> list[tuple[Series, int, int]]:
+    """The factors of a and then those only in b, each with its
+    multiplicity in a and in b (0 where absent)."""
+    rows = [(s, k, 0) for s, k in a]
+    for s, k in b:
+        for i, (r, ka, _) in enumerate(rows[:len(a)]):
+            if r is s or r == s:
+                rows[i] = (r, ka, k)
+                break
+        else:
+            rows.append((s, 0, k))
+    return rows
+
+
+def _over_lcm(f: Frac, g: Frac) -> tuple[Factors, Series, Series]:
+    """L, the lcm of the denominators of f and g, with the cofactors L/D_f
+    and L/D_g.  With no factor in common these are D_g and D_f."""
+    fa, fb = f._factors, g._factors
+    for r, _ in fa:
+        for s, _ in fb:
+            if r is s or r == s:
+                rows = _aligned(fa, fb)
+                return (tuple((s, max(kf, kg)) for s, kf, kg in rows),
+                        _expand((s, kg - kf) for s, kf, kg in rows if kg > kf),
+                        _expand((s, kf - kg) for s, kf, kg in rows if kf > kg))
+    return fa + fb, g.den, f.den
+
+
+def _expand(factors: Iterable[tuple[Series, int]]) -> Series:
+    """The product of each factor to its multiplicity, by squaring."""
+    out = Series.ONE
+    for s, k in factors:
+        while k:
+            if k & 1:
+                out = out * s
+            s = s * s if k > 1 else s
+            k >>= 1
+    return out
 
 
 Frac.ZERO = Frac(Series.ZERO)
@@ -612,12 +716,13 @@ def vdiff(f: Frac, g: Frac) -> tuple[GammaInf, int]:
     By the ``Frac`` invariant the numerator of f - g leads with the larger
     of lead(n_f) and -lead(n_g), or with their sum when the monomials agree,
     so those cases cost O(1).  Only equal leading terms need the numerator
-    n_f*d_g - n_g*d_f (n_f - n_g over a shared denominator), and never the
-    denominator d_f*d_g, which leads with 1: the valuation and sign are the
-    numerator's.  Under different denominators the cross kernel finds that
-    numerator's leading term without forming it: it merges the term pairs
-    of both products in decreasing order and stops at the first monomial
-    that survives (van der Hoeven, "Relax, but don't be too lazy", 2002).
+    n_f*c_f - n_g*c_g over L, the lcm of the denominators, with c_f = L/D_f
+    and c_g = L/D_g (n_f - n_g over a shared denominator), and never L,
+    which leads with 1: the valuation and sign are the numerator's.  Under
+    different denominators the cross kernel finds that numerator's leading
+    term without forming it: it merges the term pairs of both products in
+    decreasing order and stops at the first monomial that survives (van der
+    Hoeven, "Relax, but don't be too lazy", 2002).
     """
     nf, ng = f.num, g.num
     if ng.is_zero():
@@ -632,9 +737,10 @@ def vdiff(f: Frac, g: Frac) -> tuple[GammaInf, int]:
         return mg.valuation(), -1 if cg > 0 else 1
     if cf != cg:
         return mf.valuation(), 1 if cf > cg else -1
-    if f.den == g.den:
+    if f._factors == g._factors:
         return _lead_value(nf - ng, 1)
-    return _cross_lead(nf, g.den, ng, f.den)
+    _, c_f, c_g = _over_lcm(f, g)
+    return _cross_lead(nf, c_f, ng, c_g)
 
 
 def _lead_value(s: Series, sign: int) -> tuple[GammaInf, int]:

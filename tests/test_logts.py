@@ -5,7 +5,8 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import pytest
 
 from aclab import logts
@@ -641,3 +642,141 @@ class TestDerivativeSlot:
             assert _key_terms(again) == _reference_derivative(s)
             assert s.derivative() == Series(s.terms).derivative()
         assert len(logts._interned) <= 8 and len(logts._products) <= 16
+
+
+class TestOperandTypes:
+    def test_order_and_difference_against_a_non_element_raise_type_error(self):
+        for f in (Frac.ZERO, x_elem(), Frac(Series.ONE, Series.ONE + Series.monomial(Monomial(V("[-1]"))))):
+            for other in (3, Fraction(1, 2), "x", None):
+                for op in ("<", "<=", ">", ">="):
+                    with pytest.raises(TypeError, match=f"'{op}' not supported"):
+                        eval(f"f {op} other")
+                with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
+                    f - other
+
+
+def _one_factor(f: Frac) -> Frac:
+    """f rebuilt with its whole denominator as one factor."""
+    return Frac(f.num, f.den)
+
+
+def _equal_by_expansion(a: Frac, b: Frac) -> bool:
+    """a == b as n_a * d_b == n_b * d_a on the expanded series, without
+    ``Frac.__eq__``."""
+    return a.num * b.den == b.num * a.den
+
+
+def _assert_factors(f: Frac) -> None:
+    """The factor invariant: each factor leads with 1 * x^0, none is 1, no
+    two are equal, multiplicities are positive, and zero has none."""
+    bases = [s for s, _ in f._factors]
+    assert all(k >= 1 for _, k in f._factors)
+    assert all(s.leading() == (Monomial.ONE, 1) and len(s) > 1 for s in bases)
+    assert all(a != b for i, a in enumerate(bases) for b in bases[:i])
+    if f.is_zero():
+        assert f._factors == () and f.den == Series.ONE
+    expanded = Series.ONE
+    for s, k in f._factors:
+        for _ in range(k):
+            expanded = expanded * s
+    assert f.den == expanded
+
+
+def _two_term_dens():
+    return series(max_terms=2).filter(lambda s: len(s) == 2)
+
+
+def _shared_factor_family(f: Frac, g: Frac, h: Frac, k: int) -> list[Frac]:
+    """Elements whose denominators share factors (f*h, g*h), repeat one
+    (f*f, f**k), divide by an element with a denominator (f/h), zero, and h
+    itself."""
+    return [f * h, g * h, f * f, f ** k, f / h, Frac.ZERO, h]
+
+
+class TestFactorMultiset:
+    @settings(max_examples=20)
+    @given(fracs(), fracs(), nonzero_series(), _two_term_dens(), st.integers(2, 4))
+    def test_operations_match_the_one_factor_copies(self, f, g, num, den, k):
+        h = Frac(num, den)
+        family = _shared_factor_family(f, g, h, k)
+        flat = [_one_factor(a) for a in family]
+        for a, fa in zip(family, flat):
+            _assert_factors(a)
+            assert _equal_by_expansion(a, fa)
+            assert (a.valuation(), a.sign()) == (fa.valuation(), fa.sign())
+            da = a.derivative()
+            _assert_factors(da)
+            assert _equal_by_expansion(da, fa.derivative())
+            for b, fb in zip(family, flat):
+                for got, want in ((a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)):
+                    _assert_factors(got)
+                    assert _equal_by_expansion(got, want)
+                if not b.is_zero():
+                    q = a / b
+                    _assert_factors(q)
+                    assert _equal_by_expansion(q, fa / fb)
+                assert (a == b) == (fa == fb) == _equal_by_expansion(fa, fb)
+                assert vdiff(a, b) == vdiff(fa, fb) == ((fa - fb).valuation(), (fa - fb).sign())
+                if not a.is_zero() and not b.is_zero():
+                    assert similar(a, b) == similar(fa, fb)
+
+    @given(fracs(), fracs())
+    def test_leibniz_sides_carry_one_multiset(self, f, g):
+        # A zero term of the sum (f or g constant) keeps no factors.
+        terms = f.derivative() * g, f * g.derivative()
+        assume(not any(t.is_zero() for t in terms))
+        left, right = (f * g).derivative(), terms[0] + terms[1]
+        if not left.is_zero():
+            assert left._factors == right._factors
+            assert [k for _, k in left._factors] == [k + 1 for _, k in (f * g)._factors]
+
+    def test_leibniz_equality_never_enters_the_cross_kernel(self, monkeypatch):
+        calls = []
+        real = logts._cross_equal
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(logts, "_cross_equal", counted)
+        rng = random.Random(59)
+        checked = 0
+        while checked < 60:
+            f, g = random_frac(rng), random_frac(rng)
+            if f.den == Series.ONE or g.den == Series.ONE:
+                continue
+            assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+            assert (f * f).derivative() == (f.derivative() * f).scale(2)
+            checked += 1
+        assert calls == []
+        # The kernel is still reached when the multisets differ.
+        f = random_frac(random.Random(61))
+        while f.den == Series.ONE:
+            f = random_frac(rng)
+        assert f == _other_form(rng, f) and len(calls) == 1
+
+    def test_a_power_stores_one_factor(self):
+        x = x_elem()
+        f = (x + ONE) / (x + Frac.from_rat(2))
+        (d, k), = (f ** 64)._factors
+        assert d == f.den and k == 64
+        assert (f ** 64).den == _one_factor(f ** 64).den
+        assert (f ** 64).derivative()._factors == ((d, 65),)
+        assert f ** 64 - f ** 63 == (f - ONE) * f ** 63
+        assert [k for _, k in (f ** -3)._factors] == [3] and (f ** 3).inv() == f ** -3
+
+    def test_shared_factors_add_over_the_lcm(self):
+        x = x_elem()
+        f, g = (x + ONE) / (x + Frac.from_rat(2)), x / (x + Frac.from_rat(3))
+        h = ONE / (x - ONE)
+        total = f * h + g * h
+        assert [k for _, k in total._factors] == [1, 1, 1]
+        assert total == (f + g) * h
+        assert total.den == f.den * h.den * g.den
+
+    def test_den_is_built_once(self):
+        x = x_elem()
+        f = (ONE / (x + ONE)) * (ONE / (x + Frac.from_rat(2)))
+        assert f._den is None
+        assert f.den is f.den
+        assert str(f) == f"{f.num} | {f.den}"

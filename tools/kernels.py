@@ -29,6 +29,12 @@ Inputs are seeded and the same on every checkout.  Kernels:
                         packs the monomials of small calls too
   vdiff_cross           vdiff(f, g) for g = f plus a smaller term, over
                         another denominator (30 pairs, built as above)
+  frac_leibniz          the Leibniz line of check_axioms, (f*g)' != f'*g +
+                        f*g', on seeded f and g that both have denominators
+                        (30 pairs, fresh elements per repeat, tables cleared
+                        before they are built)
+  frac_add_shared       f*h + g*h for seeded f, g and h, h with a
+                        denominator (30 triples, built as above)
   kaplansky_check       pcseq.kaplansky_check on the quotient-limit pair
                         and the last rational map of R_FAMILY, after one
                         warm-up
@@ -177,6 +183,30 @@ def _vdiff_cross(logts, rep: int) -> float:
     return _timed([lambda f=f, g=g: logts.vdiff(f, g) for f, g in _cross_pairs(logts, rep, True)])
 
 
+def _quotients(logts, rep: int, count: int) -> list:
+    """Seeded elements that have denominators, in cleared tables."""
+    logts._clear_tables()
+    rng = random.Random(rep)
+    out = []
+    while len(out) < count:
+        f = logts.random_frac(rng)
+        if len(f.den) > 1:
+            out.append(f)
+    return out
+
+
+def _frac_leibniz(logts, rep: int) -> float:
+    elems = _quotients(logts, rep, 2 * GENERAL_BATCH)
+    return _timed([lambda f=f, g=g: (f * g).derivative() != f.derivative() * g + f * g.derivative()
+                   for f, g in zip(elems[::2], elems[1::2])])
+
+
+def _frac_add_shared(logts, rep: int) -> float:
+    elems = _quotients(logts, rep, 3 * GENERAL_BATCH)
+    return _timed([lambda f=f, g=g, h=h: f * h + g * h
+                   for f, g, h in zip(elems[::3], elems[1::3], elems[2::3])])
+
+
 def _kaplansky_check(pcseq, rep: int) -> float:
     _, seq, limit = next(p for p in pcseq.shipped_pairs() if p[0] == "quotient-limit")
     rfunc = pcseq.R_FAMILY[-1]
@@ -291,6 +321,8 @@ def main(argv: list[str] | None = None) -> int:
         "frac_eq_cross": (logts, _frac_eq_cross),
         "frac_eq_small": (logts, _frac_eq_small),
         "vdiff_cross": (logts, _vdiff_cross),
+        "frac_leibniz": (logts, _frac_leibniz),
+        "frac_add_shared": (logts, _frac_add_shared),
         "kaplansky_check": (pcseq, _kaplansky_check),
         "lambda_chunk": (pcseq, _lambda_chunk),
         "sample_elem": (acouple, _sample_elem),
@@ -312,7 +344,8 @@ def main(argv: list[str] | None = None) -> int:
         batch = {"lambda_chunk": 1, "identity_chunk": 1, "kaplansky_check": 1, "import_cli": 1,
                  "jammedness_suite": 1,
                  "series_mul_general": GENERAL_BATCH, "frac_eq_cross": GENERAL_BATCH,
-                 "frac_eq_small": GENERAL_BATCH, "vdiff_cross": GENERAL_BATCH}.get(name, BATCH)
+                 "frac_eq_small": GENERAL_BATCH, "vdiff_cross": GENERAL_BATCH,
+                 "frac_leibniz": GENERAL_BATCH, "frac_add_shared": GENERAL_BATCH}.get(name, BATCH)
         results[name] = {"ns_per_op": statistics.median(samples), "repeats": REPEATS,
                          "batch": batch}
         print(f"{name:20s} {results[name]['ns_per_op']:14,.0f} ns/op")
