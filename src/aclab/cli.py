@@ -662,11 +662,9 @@ def _common(p: argparse.ArgumentParser,
     return p
 
 
-def _expression_command(name: str, help_text: str, fn: Callable[[argparse.Namespace], int],
-                        *operands: str) -> Callable:
+def _expression_command(fn: Callable[[argparse.Namespace], int], *operands: str) -> Callable:
     """The adder of a command whose operands are expressions (val, psi, cmp)."""
-    def add(sub, seed: int) -> None:
-        p = sub.add_parser(name, help=help_text)
+    def add(p: argparse.ArgumentParser, seed: int) -> None:
         for operand in operands:
             p.add_argument(operand)
         p.hint = DASH_HINT
@@ -674,29 +672,25 @@ def _expression_command(name: str, help_text: str, fn: Callable[[argparse.Namesp
     return add
 
 
-def _add_lambda(sub, seed: int) -> None:
-    p = sub.add_parser("lambda", help="the n-th lambda term")
+def _add_lambda(p: argparse.ArgumentParser, seed: int) -> None:
     p.add_argument("n", type=int)
     _common(p, _cmd_lambda)
 
 
-def _add_classify(sub, seed: int) -> None:
-    p = sub.add_parser("classify", help="trichotomy class of a couple")
+def _add_classify(p: argparse.ArgumentParser, seed: int) -> None:
     p.add_argument("couple", help="logfull, loggap, or trunc:N")
     p.add_argument("--lambda-free", choices=["yes", "no", "unknown"], default=None)
     _common(p, _cmd_classify)
 
 
-def _add_suite(sub, seed: int) -> None:
-    p = sub.add_parser("suite", help="run a verification suite")
+def _add_suite(p: argparse.ArgumentParser, seed: int) -> None:
     p.add_argument("name")
     p.add_argument("--cases", type=int, default=None)
     p.add_argument("--len", type=int, default=12, help="prefix length where applicable")
     _common(p, _cmd_suite).add_argument("--seed", type=int, default=seed)
 
 
-def _add_extend(sub, seed: int) -> None:
-    p = sub.add_parser("extend", help="extension scenario operations")
+def _add_extend(p: argparse.ArgumentParser, seed: int) -> None:
     esub = p.add_subparsers(dest="extend_command", required=True)
     ps = esub.add_parser("step", help="iterate the yardstick step")
     ps.add_argument("--kind", choices=list(extend.KINDS), required=True)
@@ -705,42 +699,47 @@ def _add_extend(sub, seed: int) -> None:
     _common(ps, _cmd_extend)
 
 
-def _add_set(sub, seed: int) -> None:
-    p = sub.add_parser("set", help="query a set descriptor")
+def _add_set(p: argparse.ArgumentParser, seed: int) -> None:
     p.add_argument("descriptor", help="s-expression, e.g. (down (int (exts smallint)))")
     p.add_argument("query", help="jammed, yardstick, derived-yardstick, sup, half, member [v]")
     _common(p, _cmd_set)
 
 
-# Command name -> the function that adds its subparser, given the subparsers
-# action and the default seed; the order is the order of the help text.
+# Command name -> (help text, the function that adds the command's arguments
+# to its own parser, given that parser and the default seed); the order is
+# the order of the help text.
 COMMANDS = {
-    "val": _expression_command("val", "valuation of an expression", _cmd_val, "expr"),
-    "psi": _expression_command("psi", "psi of the valuation of an expression", _cmd_psi, "expr"),
-    "cmp": _expression_command("cmp", "compare two expressions", _cmd_cmp, "left", "right"),
-    "lambda": _add_lambda,
-    "classify": _add_classify,
-    "suite": _add_suite,
-    "extend": _add_extend,
-    "set": _add_set,
+    "val": ("valuation of an expression", _expression_command(_cmd_val, "expr")),
+    "psi": ("psi of the valuation of an expression", _expression_command(_cmd_psi, "expr")),
+    "cmp": ("compare two expressions", _expression_command(_cmd_cmp, "left", "right")),
+    "lambda": ("the n-th lambda term", _add_lambda),
+    "classify": ("trichotomy class of a couple", _add_classify),
+    "suite": ("run a verification suite", _add_suite),
+    "extend": ("extension scenario operations", _add_extend),
+    "set": ("query a set descriptor", _add_set),
 }
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The ``aclab`` parser.  When ``command`` names a command it holds that
-    command's subparser alone, which parses that command's argv as the full
-    parser does; otherwise it holds every command's."""
-    parser = _ArgParser(
-        prog="aclab",
-        description="Exact computations in the logarithmic asymptotic couple and field.")
+    """The parser of one request.  When ``command`` names a command it is
+    that command's parser alone, ``aclab <command>``, which parses the
+    arguments after the command name as the full parser's subparser does;
+    otherwise it is the full ``aclab`` parser, with every command's."""
     seed_text = os.environ.get("ACLAB_SEED", str(DEFAULT_SEED))
     try:
         default_seed = int(seed_text)
     except ValueError:
         raise ExprSemanticError(f"ACLAB_SEED must be an integer, got {seed_text!r}") from None
+    if command in COMMANDS:
+        parser = _ArgParser(prog=f"aclab {command}")
+        COMMANDS[command][1](parser, default_seed)
+        return parser
+    parser = _ArgParser(
+        prog="aclab",
+        description="Exact computations in the logarithmic asymptotic couple and field.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in COMMANDS else COMMANDS:
-        COMMANDS[name](sub, default_seed)
+    for name, (help_text, add) in COMMANDS.items():
+        add(sub.add_parser(name, help=help_text), default_seed)
     return parser
 
 
@@ -748,7 +747,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        parser = build_parser(command)
+        args, extras = parser.parse_known_args(argv[1:] if command else argv)
+        if extras:
+            # What the full parser reports for the arguments a command's
+            # parser leaves over (one with a hint has reported them itself).
+            raise UsageError(f"aclab: unrecognized arguments: {' '.join(extras)}")
         return args.fn(args)
     except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))

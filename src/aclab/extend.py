@@ -8,6 +8,10 @@ valuations reachable by correcting s with a witness:
   small exp-integral:    S = { v(s - e'/(1+e))  : e prec 1 }
   big integral:          S = { v(s - a')        : a in K  }
 
+The exp-integral defect is computed as s(1+e) - e' = (1+e)(s - e'/(1+e)),
+which builds no quotient; 1+e leads with exactly 1 for e prec 1, so both
+forms have the same valuation and leading coefficient.
+
 The shipped instances carry hand-verified non-integrability certificates,
 documented on their factories: correcting terms can raise the valuation
 forever but never reach infinity, which is exactly why S has no greatest
@@ -17,7 +21,8 @@ The step procedure follows the structure of the existence proofs: choose
 the monomial b whose derivative matches the current leading term of the
 defect h, cancel that term, and re-verify the exact gain
 ``new_gamma >= gamma - integrate(successor(gamma)) > gamma``.  The
-coefficient u is read off the leading coefficients, so witnesses stay
+coefficient u is read off the leading coefficients (that of b' is b's
+first nonzero exponent, so b' is never formed), so witnesses stay
 finite sums of monomials and hundred-step chains remain exact; the full
 quotient u = (s - e')/b' of the texts produces equal leading behavior but
 its denominators compound quadratically along a chain.
@@ -124,12 +129,16 @@ def _require_small(w: Frac) -> None:
 
 
 def _defect(sc: ExtScenario, w: Frac) -> Frac:
+    """s - w' for the additive kinds; for the multiplicative kind s(1+w) - w',
+    which is (1+w)(s - w'/(1+w)).  As w is infinitesimal, 1+w leads with
+    exactly 1, so both forms have the same valuation and leading coefficient,
+    all that ``_step``, ``s_value`` and ``construct_witness`` read of them."""
     if sc.kind == SMALL_INT:
         _require_small(w)
         return sc.s - w.derivative()
     if sc.kind == SMALL_EXP_INT:
         _require_small(w)
-        return sc.s - w.derivative() / (Frac.ONE + w)
+        return sc.s * (Frac.ONE + w) - w.derivative()
     return sc.s - w.derivative()
 
 
@@ -206,9 +215,7 @@ def _step(sc: ExtScenario, w: Witness, h: Optional[Frac],
     bound = step_bound(w.gamma)
     eps, cur = w.eps, w.gamma
     for _ in range(10000):
-        b = _monomial_frac(integrate(cur))
-        u = h.leading_coeff() / b.derivative().leading_coeff()
-        eps = _corrected(sc, eps, b.scale(u))
+        eps = _corrected(sc, eps, _kill(h, cur))
         if window is not None and sc.kind == SMALL_EXP_INT:
             eps = Frac(eps.num.truncate_below(window), eps.den)
         h = _defect(sc, eps)
@@ -220,6 +227,14 @@ def _step(sc: ExtScenario, w: Witness, h: Optional[Frac],
         if cur >= bound:
             return Witness(eps, cur), h
     raise ValueError(f"step did not reach the bound {bound} from {w.gamma}")
+
+
+def _kill(h: Frac, gamma: GroupElem) -> Frac:
+    """u*b, with v(b') = gamma = v(h) and u*b' leading as h does: b has
+    exponents -integrate(gamma), and b' leads with r_k * b / (l0...lk) for
+    r_k the first of them, so b' is never formed."""
+    target = integrate(gamma)
+    return _monomial_frac(target).scale(-h.leading_coeff() / target.leading_coeff())
 
 
 def chain(sc: ExtScenario, steps: int) -> list[Witness]:

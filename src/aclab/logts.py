@@ -248,23 +248,15 @@ class Series:
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        if not self._nums:
-            return other
-        if not other._nums:
-            return self
-        da, db = self._den, other._den
-        den = da if da == db else lcm(da, db)
-        fa, fb = den // da, den // db
-        acc = {m: n * fa for m, n in self._nums.items()}
-        for mono, n in other._nums.items():
-            acc[mono] = acc.get(mono, 0) + n * fb
-        return _series(acc, den)
+        return _combined(self, other, 1)
 
     def __neg__(self) -> "Series":
         return _series({m: -n for m, n in self._nums.items()}, self._den)
 
     def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
+        if not isinstance(other, Series):
+            return NotImplemented
+        return _combined(self, other, -1)
 
     def scale(self, factor: RatLike) -> "Series":
         qn, qd = _int_pair(factor)
@@ -316,8 +308,10 @@ class Series:
         return out
 
     def truncate_below(self, bound: GroupElem) -> "Series":
-        """Drop terms with valuation strictly above ``bound``."""
-        return _series({m: n for m, n in self._nums.items() if m.valuation() <= bound}, self._den)
+        """Drop terms with valuation strictly above ``bound``: keep m with
+        ``m.exponents >= -bound``, since v(m) is minus m's exponents."""
+        low = -bound
+        return _series({m: n for m, n in self._nums.items() if m.exponents >= low}, self._den)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in order of increasing valuation (decreasing magnitude)."""
@@ -371,6 +365,21 @@ def _series(nums: dict[Monomial, int], den: int) -> Series:
     object.__setattr__(out, "_lead", None)
     object.__setattr__(out, "_deriv", None)
     return out
+
+
+def _combined(a: Series, b: Series, sign: int) -> Series:
+    """a + b for sign 1, a - b for sign -1."""
+    if not b._nums:
+        return a
+    if not a._nums:
+        return b if sign == 1 else -b
+    da, db = a._den, b._den
+    den = da if da == db else lcm(da, db)
+    fa, fb = den // da, sign * (den // db)
+    acc = {m: n * fa for m, n in a._nums.items()}
+    for mono, n in b._nums.items():
+        acc[mono] = acc.get(mono, 0) + n * fb
+    return _series(acc, den)
 
 
 def _check_term_pairs(a: Series, b: Series) -> None:
@@ -475,9 +484,13 @@ class Frac:
                 adjust_coeff = 1 / lead_coeff
                 num = num.mul_term(adjust_mono, adjust_coeff)
                 den = den.mul_term(adjust_mono, adjust_coeff)
-            # A series that leads with 1 * x^0 and has one term is 1.
+            # A series that leads with 1 * x^0 and has one term is 1, and so
+            # is n/n.
             if len(den) > 1:
-                factors = ((den, 1),)
+                if num == den:
+                    num = den = Series.ONE
+                else:
+                    factors = ((den, 1),)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_den", den if factors else Series.ONE)
@@ -503,15 +516,12 @@ class Frac:
     def __add__(self, other: "Frac") -> "Frac":
         if not isinstance(other, Frac):
             return NotImplemented
-        if self._factors == other._factors:
-            return _frac(self.num + other.num, self._factors, self._den)
-        factors, cf, cg = _over_lcm(self, other)
-        return _frac(self.num * cf + other.num * cg, factors)
+        return _frac_sum(self, other, 1)
 
     def __sub__(self, other: "Frac") -> "Frac":
         if not isinstance(other, Frac):
             return NotImplemented
-        return self + (-other)
+        return _frac_sum(self, other, -1)
 
     def __neg__(self) -> "Frac":
         return _frac(-self.num, self._factors, self._den)
@@ -635,18 +645,29 @@ class Frac:
 def _frac(num: Series, factors: Factors, den: Optional[Series] = None) -> Frac:
     """``num`` over ``factors``, which keep the ``Frac`` invariant; ``den``
     is their expanded product when the caller has it.  Zero keeps no
-    factors."""
+    factors, and a numerator equal to a lone factor d (d/d) cancels to 1."""
     if not num._nums:
         num, factors = Series.ZERO, ()
+    elif len(factors) == 1 and factors[0][1] == 1:
+        if num == factors[0][0]:
+            num, factors = Series.ONE, ()
+        else:
+            den = factors[0][0]
     if not factors:
         den = Series.ONE
-    elif den is None and len(factors) == 1 and factors[0][1] == 1:
-        den = factors[0][0]
     out = object.__new__(Frac)
     object.__setattr__(out, "num", num)
     object.__setattr__(out, "_factors", factors)
     object.__setattr__(out, "_den", den)
     return out
+
+
+def _frac_sum(f: Frac, g: Frac, sign: int) -> Frac:
+    """f + g for sign 1, f - g for sign -1."""
+    if f._factors == g._factors:
+        return _frac(_combined(f.num, g.num, sign), f._factors, f._den)
+    factors, cf, cg = _over_lcm(f, g)
+    return _frac(_combined(f.num * cf, g.num * cg, sign), factors)
 
 
 def _aligned(a: Factors, b: Factors) -> list[tuple[Series, int, int]]:

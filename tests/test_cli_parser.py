@@ -1,12 +1,16 @@
 """The parser ``main`` builds for each request.
 
-``main`` builds only the named command's subparser when ``argv[0]`` names a
-command, and the full parser otherwise.  These tests check that this gives
-the same exit code, stdout and stderr as parsing with the full parser,
-that the console-script path (``main()`` reading ``sys.argv``) takes the
-same route, and that ``ACLAB_SEED`` is validated whichever command runs.
+When ``argv[0]`` names a command, ``main`` builds that command's parser
+alone as the top-level parser (``prog="aclab <command>"``) and parses the
+arguments after the name; otherwise it builds the full parser and parses
+all of ``argv``.  These tests check that this gives the same exit code,
+stdout and stderr as parsing with the full parser, that a named command
+builds only its own parsers, that the console-script path (``main()``
+reading ``sys.argv``) takes the same route, and that ``ACLAB_SEED`` is
+validated whichever command runs.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -80,6 +84,22 @@ def test_help_text_matches_the_full_parser():
         named = _outcome(cli.main, argv)
         assert named == _outcome(_full_parser_main, argv)
         assert named[0] == ("exit", 0) and named[1].startswith("usage: aclab")
+
+
+@pytest.mark.parametrize("command", sorted(ONE_PER_COMMAND))
+def test_a_named_command_builds_only_its_own_parsers(capsys, monkeypatch, command):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli.main(ONE_PER_COMMAND[command]) == 0
+    # extend holds its step subcommand's parser too.
+    expect = ["aclab extend", "aclab extend step"] if command == "extend" else [f"aclab {command}"]
+    assert progs == expect
 
 
 @pytest.mark.parametrize("argv, code, needle", [

@@ -9,6 +9,7 @@ from aclab import extend
 from aclab.acouple import integrate
 from aclab.extend import (
     BIG_INT,
+    ExtS,
     KINDS,
     SMALL_EXP_INT,
     SMALL_INT,
@@ -227,3 +228,43 @@ class TestDefectPassedAlong:
             yardstick_step(sc, Witness(w.eps, w.gamma + unit(4)))
         with pytest.raises(ValueError, match="stale witness"):
             yardstick_step(sc, Witness(w.eps + chain(sc, 3)[-1].eps, w.gamma))
+
+
+def _members_and_chain(kind: str) -> list[Witness]:
+    """The witnesses of a 30-step chain and of 20 sampled members."""
+    sc = example(kind)
+    rng = random.Random(61)
+    values = ExtS(kind)
+    return chain(sc, 30) + [construct_witness(sc, values.sample(rng)) for _ in range(20)]
+
+
+def _quotient_defect(sc, eps: Frac) -> Frac:
+    """The defect as the scenario defines it: s - e' or s - e'/(1+e)."""
+    if sc.kind == SMALL_EXP_INT:
+        return sc.s - eps.derivative() / (Frac.ONE + eps)
+    return sc.s - eps.derivative()
+
+
+class TestStepRewrites:
+    """``_defect`` and ``_kill`` read the valuation and the leading
+    coefficients off closed forms; each must agree with the form it
+    replaces."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_defect_leads_as_the_quotient_form(self, kind):
+        sc = example(kind)
+        for w in _members_and_chain(kind):
+            h, text = extend._defect(sc, w.eps), _quotient_defect(sc, w.eps)
+            assert h.valuation() == text.valuation() == w.gamma
+            assert h.leading_coeff() == text.leading_coeff()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kill_coefficient_is_read_off_the_derivative(self, kind):
+        sc = example(kind)
+        for w in _members_and_chain(kind):
+            h = _quotient_defect(sc, w.eps)
+            b = extend._monomial_frac(integrate(w.gamma))
+            u = h.leading_coeff() / b.derivative().leading_coeff()
+            kill = extend._kill(extend._defect(sc, w.eps), w.gamma)
+            assert kill.num == b.scale(u).num and kill._factors == ()
+            assert (h - kill.derivative()).valuation() > w.gamma

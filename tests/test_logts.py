@@ -167,6 +167,7 @@ class TestSparseSums:
     @given(series(), series())
     def test_sum_and_product_match_dict_reference(self, s, t):
         assert _key_terms(s + t) == _reference_sum(s, t)
+        assert _key_terms(s - t) == _reference_sum(s, -t)
         assert _key_terms(s * t) == _reference_product(s, t)
 
     @given(series(), series(), monomials())
@@ -653,6 +654,42 @@ class TestOperandTypes:
                         eval(f"f {op} other")
                 with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
                     f - other
+
+    def test_series_arithmetic_against_a_non_series_raises_type_error(self):
+        for s in (Series.ZERO, Series.ONE, Series.monomial(Monomial(V("[-1, 2]")), 3)):
+            for other in (3, Fraction(1, 2), "x", None, Frac.ONE):
+                for op in ("+", "-"):
+                    with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \{op}"):
+                        eval(f"s {op} other")
+
+
+class TestCancelledQuotient:
+    """A numerator equal to its lone denominator factor cancels to 1."""
+
+    D = Series.ONE + Series.monomial(Monomial(V("[0, 3]")))
+
+    def test_n_over_n_is_one_with_no_factors(self):
+        d = self.D
+        x = Series.monomial(Monomial(unit(0)))
+        for f in (Frac(d, d), Frac(d.scale(-3), d.scale(-3)), Frac(d * x, d * x),
+                  Frac(d) / Frac(d), Frac(d) * Frac(d).inv(), Frac(d).inv() * Frac(d)):
+            assert f._factors == () and f.num == Series.ONE and f.den == Series.ONE
+            assert str(f) == "1"
+
+    def test_other_quotients_keep_their_factor(self):
+        d = self.D
+        for f in (Frac(d.scale(2), d), Frac(-d, d), Frac(Series.ONE, d), Frac(d) / Frac(d * d)):
+            assert len(f._factors) == 1
+            _assert_factors(f)
+
+    def test_leibniz_sides_share_one_multiset(self):
+        # Were g = d/d kept over d, f'g + fg' would carry {d: 1} against the
+        # {d: 2} of (fg)'.
+        f = Frac(Series.monomial(Monomial(V("[-6]")), -6))
+        g = Frac(self.D, self.D)
+        left, right = (f * g).derivative(), f.derivative() * g + f * g.derivative()
+        assert left._factors == right._factors == ()
+        assert left == right
 
 
 def _one_factor(f: Frac) -> Frac:

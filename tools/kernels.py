@@ -49,6 +49,12 @@ Inputs are seeded and the same on every checkout.  Kernels:
   cli_classify          cli.main(["classify", "trunc:3"]), the same way
   cli_set               cli.main(["set", "(less [1])", "jammed"]), the same
                         way: the verdict and the check of its certificate
+  cli_lambda            cli.main(["lambda", "3"]), the same way
+  cli_extend            cli.main(["extend", "step", "--kind", "smallexpint",
+                        "--iters", "15"]), the same way, batches of 20: the
+                        slowest request of the queries workload
+  extend_chain          extend.chain(example("smallexpint"), 20), after one
+                        warm-up, batches of 10: the yardstick step alone
   jammed_recheck        setprops.recheck_jammed on a (less ...) Holds and on
                         the shipped Fails, (down (int (exts smallint))),
                         alternately
@@ -86,6 +92,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 21
 BATCH = 200
 GENERAL_BATCH = 30
+CHAIN_BATCH = 10
+CLI_EXTEND_BATCH = 20
 
 
 def _series_batch(logts, seed: int, count: int = BATCH) -> list:
@@ -255,12 +263,19 @@ def _cli_request(cli, argv: list[str]) -> None:
         cli.main(argv)
 
 
-def _cli_kernel(argv: list[str]):
+def _cli_kernel(argv: list[str], count: int = BATCH):
     def kernel(cli, rep: int) -> float:
         if rep == 0:
             _cli_request(cli, argv)
-        return _timed([lambda: _cli_request(cli, argv)] * BATCH)
+        return _timed([lambda: _cli_request(cli, argv)] * count)
     return kernel
+
+
+def _extend_chain(extend, rep: int) -> float:
+    sc = extend.example("smallexpint")
+    if rep == 0:
+        extend.chain(sc, 20)
+    return _timed([lambda: extend.chain(sc, 20)] * CHAIN_BATCH)
 
 
 def _jammed_recheck(cli, rep: int) -> float:
@@ -309,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, os.path.abspath(args.src))
-    from aclab import acouple, cli, logts, pcseq
+    from aclab import acouple, cli, extend, logts, pcseq
 
     kernels = {
         "series_mul_unit": (logts, _series_mul_unit),
@@ -333,6 +348,10 @@ def main(argv: list[str] | None = None) -> int:
         "cli_val": (cli, _cli_kernel(["val", "--", "x+1"])),
         "cli_classify": (cli, _cli_kernel(["classify", "trunc:3"])),
         "cli_set": (cli, _cli_kernel(["set", "(less [1])", "jammed"])),
+        "cli_lambda": (cli, _cli_kernel(["lambda", "3"])),
+        "cli_extend": (cli, _cli_kernel(["extend", "step", "--kind", "smallexpint", "--iters", "15"],
+                                        CLI_EXTEND_BATCH)),
+        "extend_chain": (extend, _extend_chain),
         "jammed_recheck": (cli, _jammed_recheck),
         "jammedness_suite": (cli, _jammedness_suite),
         "record_new": (cli, _record_new),
@@ -345,7 +364,8 @@ def main(argv: list[str] | None = None) -> int:
                  "jammedness_suite": 1,
                  "series_mul_general": GENERAL_BATCH, "frac_eq_cross": GENERAL_BATCH,
                  "frac_eq_small": GENERAL_BATCH, "vdiff_cross": GENERAL_BATCH,
-                 "frac_leibniz": GENERAL_BATCH, "frac_add_shared": GENERAL_BATCH}.get(name, BATCH)
+                 "frac_leibniz": GENERAL_BATCH, "frac_add_shared": GENERAL_BATCH,
+                 "cli_extend": CLI_EXTEND_BATCH, "extend_chain": CHAIN_BATCH}.get(name, BATCH)
         results[name] = {"ns_per_op": statistics.median(samples), "repeats": REPEATS,
                          "batch": batch}
         print(f"{name:20s} {results[name]['ns_per_op']:14,.0f} ns/op")
