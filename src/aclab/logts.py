@@ -20,12 +20,11 @@ from __future__ import annotations
 import random
 from enum import Enum
 from fractions import Fraction
-from bisect import insort
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from .acouple import Report, integrate, psi
-from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, _from_items, _merge, as_rat, ones, unit
+from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, _from_items, _merge, as_rat, cmp, ones, unit
 from .record import Record
 
 
@@ -39,9 +38,11 @@ from .record import Record
 # table has dropped.  A monomial built before a clear is then a different
 # object from an equal one built after it, so equality falls back to comparing
 # exponent vectors and no result depends on which instance is used.
-# ``Monomial.__mul__`` is the only reader and writer of ``_products``; on a
-# miss it interns the sum of the two exponent triples directly.  No comparison
-# of field elements builds or interns a monomial (see ``_packing``).
+# ``Monomial.__mul__`` is the only reader and writer of ``_products``.  A
+# factor 1 returns the other factor and adds no entry; on a miss the summed
+# exponent triples are looked up in ``_interned``, and a ``GroupElem`` and a
+# ``Monomial`` are built only for a new monomial.  No comparison of field
+# elements builds or interns a monomial (see ``_packing``).
 INTERN_CAP = 1024
 PRODUCT_CAP = 4 * INTERN_CAP
 
@@ -74,13 +75,19 @@ class Monomial:
         return -self.exponents
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        ia, ib = self.exponents._items, other.exponents._items
+        if not ib:
+            return self
+        if not ia:
+            return other
         key = (id(self), id(other))
         hit = _products.get(key)
         if hit is not None:
             return hit[2]
         if len(_products) >= PRODUCT_CAP:
             _products.clear()
-        product = _intern(_merge(self.exponents.key, other.exponents.key, False))
+        items = _merge(ia, ib, False)
+        product = _interned.get(items) or _intern(_from_items(items))
         _products[key] = (self, other, product)
         return product
 
@@ -199,7 +206,7 @@ class Series:
             terms = terms.items()
         acc: dict[Monomial, Fraction] = {}
         for mono, raw in terms:
-            acc[mono] = acc.get(mono, 0) + as_rat(raw)
+            acc[mono] = acc[mono] + as_rat(raw) if mono in acc else as_rat(raw)
         den = lcm(*(c.denominator for c in acc.values()))
         return _series({m: c.numerator * (den // c.denominator) for m, c in acc.items()}, den)
 
@@ -232,10 +239,12 @@ class Series:
             raise ValueError("the zero series has no leading term")
         cached = self._lead
         if cached is None:
-            best = None
-            for mono in self._nums:
-                if best is None or mono.exponents > best.exponents:
-                    best = mono
+            monos = iter(self._nums)
+            best = next(monos)
+            top = best.exponents
+            for mono in monos:
+                if cmp(mono.exponents, top) > 0:
+                    best, top = mono, mono.exponents
             cached = (best, Fraction(self._nums[best], self._den))
             object.__setattr__(self, "_lead", cached)
         return cached
@@ -311,7 +320,7 @@ class Series:
         """Drop terms with valuation strictly above ``bound``: keep m with
         ``m.exponents >= -bound``, since v(m) is minus m's exponents."""
         low = -bound
-        return _series({m: n for m, n in self._nums.items() if m.exponents >= low}, self._den)
+        return _series({m: n for m, n in self._nums.items() if cmp(m.exponents, low) >= 0}, self._den)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in order of increasing valuation (decreasing magnitude)."""
@@ -455,7 +464,10 @@ class Frac:
     numerator, and ``lead(n_f * c) == lead(n_f)`` for any product c of
     factors, which is what ``vdiff`` (and through it the order and
     ``similar``) reads instead of forming ``f - g``.  ``den`` is the
-    expanded product, built on first read and kept.
+    expanded product, built on first read and kept.  The derivative and
+    the inverse are memoised in slots left unset until first use, so
+    building an element costs nothing more; an inverse keeps no link back
+    to its source, so no reference cycle forms.
 
     Products add the multisets and powers scale them, so equal factors
     merge instead of multiplying out.  Sums, differences, ``==`` and
@@ -466,7 +478,7 @@ class Frac:
     no comparison builds a monomial.
     """
 
-    __slots__ = ("num", "_factors", "_den")
+    __slots__ = ("num", "_factors", "_den", "_deriv", "_inv")
 
     ZERO: "Frac"
     ONE: "Frac"
@@ -542,9 +554,13 @@ class Frac:
         return self * other.inv()
 
     def inv(self) -> "Frac":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero element")
-        return Frac(self.den, self.num)
+        out = getattr(self, "_inv", None)
+        if out is None:
+            if self.is_zero():
+                raise ZeroDivisionError("inverse of the zero element")
+            out = Frac(self.den, self.num)
+            object.__setattr__(self, "_inv", out)
+        return out
 
     def scale(self, factor: RatLike) -> "Frac":
         return _frac(self.num.scale(factor), self._factors, self._den)
@@ -585,19 +601,25 @@ class Frac:
         raise TypeError("Frac is not hashable; normal forms are not unique")
 
     def derivative(self) -> "Frac":
+        out = getattr(self, "_deriv", None)
+        if out is not None:
+            return out
         n, factors = self.num, self._factors
         if not factors:
-            return _frac(n.derivative(), ())
-        # D'/D is the sum of k * d'/d over the factors d^k of D.  Over P, the
-        # product of the factors taken once, f' = (n'P - n * sum(k * d' * P/d))
-        # / (D * P): every multiplicity goes up by one.  The loop keeps P and
-        # the sum over the factors read so far.
-        whole, logder = Series.ONE, Series.ZERO
-        for d, k in factors:
-            dd = d.derivative() if k == 1 else d.derivative().scale(k)
-            logder = logder * d + dd * whole
-            whole = whole * d
-        return _frac(n.derivative() * whole - n * logder, tuple((d, k + 1) for d, k in factors))
+            out = _frac(n.derivative(), ())
+        else:
+            # D'/D is the sum of k * d'/d over the factors d^k of D.  Over P,
+            # the product of the factors taken once, f' = (n'P - n * sum(k *
+            # d' * P/d)) / (D * P): every multiplicity goes up by one.  The
+            # loop keeps P and the sum over the factors read so far.
+            whole, logder = Series.ONE, Series.ZERO
+            for d, k in factors:
+                dd = d.derivative() if k == 1 else d.derivative().scale(k)
+                logder = logder * d + dd * whole
+                whole = whole * d
+            out = _frac(n.derivative() * whole - n * logder, tuple((d, k + 1) for d, k in factors))
+        object.__setattr__(self, "_deriv", out)
+        return out
 
     def valuation(self) -> GammaInf:
         # Every denominator has valuation 0.
@@ -741,9 +763,8 @@ def vdiff(f: Frac, g: Frac) -> tuple[GammaInf, int]:
     and c_g = L/D_g (n_f - n_g over a shared denominator), and never L,
     which leads with 1: the valuation and sign are the numerator's.  Under
     different denominators the cross kernel finds that numerator's leading
-    term without forming it: it merges the term pairs of both products in
-    decreasing order and stops at the first monomial that survives (van der
-    Hoeven, "Relax, but don't be too lazy", 2002).
+    term without forming it: it sums the term pairs of both products on
+    packed keys and reads the largest key that does not cancel.
     """
     nf, ng = f.num, g.num
     if ng.is_zero():
@@ -803,42 +824,9 @@ def _packing(a: Series, b: Series, c: Series, d: Series) -> tuple[dict[Monomial,
     return keys, fa, fc
 
 
-def _cross_lead(a: Series, b: Series, c: Series, d: Series) -> tuple[GammaInf, int]:
-    """v(a*b - c*d) and its sign, for nonzero factors.  Term pairs of both
-    products leave one priority queue in decreasing monomial order, each row
-    of a product queueing its next pair when one leaves, and the first
-    monomial whose coefficients do not cancel answers (Johnson's merge in
-    Monagan & Pearce's form).  The queue is a list kept sorted by
-    ``bisect.insort``, largest key last: as fast as ``heapq`` here, and
-    ``random`` has already imported ``bisect``."""
-    keys, fa, fc = _packing(a, b, c, d)
-    products = []
-    queue = []
-    for p, (x, y, f) in enumerate(((a, b, fa), (c, d, fc))):
-        rows = sorted([(keys[m], n * f, m) for m, n in x._nums.items()], reverse=True)
-        cols = sorted([(keys[m], n, m) for m, n in y._nums.items()], reverse=True)
-        products.append((rows, cols, len(rows), len(cols)))
-        queue.append((rows[0][0] + cols[0][0], p, 0, 0))
-    queue.sort()
-    while queue:
-        key = queue[-1][0]
-        total = 0
-        while queue and queue[-1][0] == key:
-            _, p, i, j = queue.pop()
-            rows, cols, nr, nc = products[p]
-            ki, ni, _ = rows[i]
-            total += ni * cols[j][1]
-            if j + 1 < nc:
-                insort(queue, (ki + cols[j + 1][0], p, i, j + 1))
-            if j == 0 and i + 1 < nr:
-                insort(queue, (rows[i + 1][0] + cols[0][0], p, i + 1, 0))
-        if total:
-            return -(rows[i][2].exponents + cols[j][2].exponents), 1 if total > 0 else -1
-    return INFINITY, 0
-
-
-def _cross_equal(a: Series, b: Series, c: Series, d: Series) -> bool:
-    """Whether a*b == c*d: both products summed into one dict on packed keys."""
+def _cross_sums(a: Series, b: Series, c: Series, d: Series) -> tuple[dict[int, int], dict[Monomial, int]]:
+    """The numerators of a*b - c*d over one denominator, by packed key, with
+    the packed key of every monomial of the factors."""
     keys, fa, fc = _packing(a, b, c, d)
     acc: dict[int, int] = {}
     get = acc.get
@@ -849,7 +837,26 @@ def _cross_equal(a: Series, b: Series, c: Series, d: Series) -> bool:
             for kj, nj in cols:
                 k = ki + kj
                 acc[k] = get(k, 0) + n * nj
-    return not any(acc.values())
+    return acc, keys
+
+
+def _cross_lead(a: Series, b: Series, c: Series, d: Series) -> tuple[GammaInf, int]:
+    """v(a*b - c*d) and its sign, for nonzero factors: the largest packed
+    key whose sum is not zero."""
+    acc, keys = _cross_sums(a, b, c, d)
+    top = max(filter(acc.get, acc), default=None)
+    if top is None:
+        return INFINITY, 0
+    # Any two monomials of the factors whose keys sum to ``top`` multiply to
+    # its monomial, since ``_packing`` sizes the fields for every such pair.
+    by_key = {k: m for m, k in keys.items()}
+    m, o = next((m, by_key[top - k]) for m, k in keys.items() if top - k in by_key)
+    return -(m.exponents + o.exponents), 1 if acc[top] > 0 else -1
+
+
+def _cross_equal(a: Series, b: Series, c: Series, d: Series) -> bool:
+    """Whether a*b == c*d: both products summed into one dict on packed keys."""
+    return not any(_cross_sums(a, b, c, d)[0].values())
 
 
 def logderiv(f: Frac) -> Frac:
@@ -942,13 +949,14 @@ def check_axioms(sample_size: int, seed: int) -> Report:
         h = random_frac(rng)
 
         # Field and derivation algebra.
-        if (f + g) * h != f * h + g * h:
+        fg, f_plus_g = f * g, f + g
+        if f_plus_g * h != f * h + g * h:
             report.fail("distributivity", case, f=f, g=g, h=h)
-        if ((f * g) * h) != (f * (g * h)):
+        if fg * h != f * (g * h):
             report.fail("mul-associativity", case, f=f, g=g, h=h)
-        if (f * g).derivative() != f.derivative() * g + f * g.derivative():
+        if fg.derivative() != f.derivative() * g + f * g.derivative():
             report.fail("leibniz", case, f=f, g=g)
-        if (f + g).derivative() != f.derivative() + g.derivative():
+        if f_plus_g.derivative() != f.derivative() + g.derivative():
             report.fail("additivity", case, f=f, g=g)
         if not h.is_zero():
             q = f / h
@@ -957,13 +965,13 @@ def check_axioms(sample_size: int, seed: int) -> Report:
 
         # Valuation axioms.
         vf, vg = f.valuation(), g.valuation()
-        prod_v = (f * g).valuation()
+        prod_v = fg.valuation()
         if vf is INFINITY or vg is INFINITY:
             if prod_v is not INFINITY:
                 report.fail("v-multiplicative-zero", case, f=f, g=g)
         elif prod_v != vf + vg:
             report.fail("v-multiplicative", case, f=f, g=g)
-        sum_v = (f + g).valuation()
+        sum_v = f_plus_g.valuation()
         if not min(vf, vg) <= sum_v:
             report.fail("v-ultrametric", case, f=f, g=g)
         if vf is not INFINITY and vg is not INFINITY and vf != vg and sum_v != min(vf, vg):

@@ -139,14 +139,18 @@ class GroupElem:
             return other
         if not other._items:
             return self
-        return _merge(self._items, other._items, False)
+        out = object.__new__(GroupElem)
+        out._items = _merge(self._items, other._items, False)
+        return out
 
     def __sub__(self, other: "GroupElem") -> "GroupElem":
         if not isinstance(other, GroupElem):
             return NotImplemented
         if not other._items:
             return self
-        return _merge(self._items, other._items, True)
+        out = object.__new__(GroupElem)
+        out._items = _merge(self._items, other._items, True)
+        return out
 
     def __neg__(self) -> "GroupElem":
         return _from_items(tuple((i, -n, d) for i, n, d in self._items))
@@ -261,8 +265,9 @@ INFINITY = _Infinity()
 GammaInf = Union[GroupElem, _Infinity]
 
 
-def _merge(ia: Triples, ib: Triples, negate: bool) -> GroupElem:
-    """``a + b``, or ``a - b`` when negate, from two sorted triple tuples in one walk."""
+def _merge(ia: Triples, ib: Triples, negate: bool) -> Triples:
+    """The triples of ``a + b``, or ``a - b`` when negate, from two sorted
+    triple tuples in one walk."""
     out: list[tuple[int, int, int]] = []
     pa = pb = 0
     na, nb = len(ia), len(ib)
@@ -291,7 +296,7 @@ def _merge(ia: Triples, ib: Triples, negate: bool) -> GroupElem:
             pb += 1
     out.extend(ia[pa:])
     out.extend([(i, -n, d) for i, n, d in ib[pb:]] if negate else ib[pb:])
-    return _from_items(tuple(out))
+    return tuple(out)
 
 
 def unit(index: int) -> GroupElem:

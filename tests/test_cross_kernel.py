@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from aclab import logts
 from aclab.logts import INFINITY, BudgetExceeded, Frac, Monomial, Series, _cross_equal, _cross_lead, similar, vdiff
-from aclab.ogroup import GroupElem
+from aclab.ogroup import GroupElem, ones
+from aclab.pcseq import perturbed_lambda_seq
 
 from strategies import nonzero_series
 
@@ -95,6 +96,18 @@ class TestAgainstExpandedProducts:
         for _ in range(100):
             a, b, c, d = (logts.random_series(rng, max_terms=1) for _ in range(4))
             assert (_cross_lead(a, b, c, d), _cross_equal(a, b, c, d)) == _expanded(a, b, c, d)
+
+    def test_deep_cancellation_between_consecutive_perturbed_lambda_terms(self):
+        # The widths of the perturbed lambda prefix, which the field workload
+        # reads: equal leading terms, and term pairs that cancel down to
+        # v = ones(n + 2), far below them.
+        per = perturbed_lambda_seq(12)
+        for n in range(11):
+            f, g = per[n + 1], per[n]
+            assert f.num.leading() == g.num.leading() and f._factors != g._factors
+            _, cf, cg = logts._over_lcm(f, g)
+            assert _cross_lead(f.num, cf, g.num, cg) == _expanded(f.num, cf, g.num, cg)[0]
+            assert vdiff(per[n + 1], per[n])[0] == ones(n + 2)
 
 
 def _unequal_forms(rng: random.Random, count: int, num_terms: int, den_terms: int) -> list[tuple[Frac, Frac]]:

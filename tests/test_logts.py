@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from aclab import logts
+from aclab import logts, ogroup
 from aclab.acouple import INFINITY, der, psi
 from aclab.logts import (
     Dominance,
@@ -502,6 +502,38 @@ class TestHashConsing:
         assert hash(product) == hash(("mono", exps))
 
 
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Monomial tables as at import: the intern table holds only
+    ``Monomial.ONE`` and the product memo is empty."""
+    monkeypatch.setattr(logts, "_interned", {(): Monomial.ONE})
+    monkeypatch.setattr(logts, "_products", {})
+
+
+class TestFreshMonomials:
+    def test_a_unit_factor_returns_the_other_factor_and_adds_no_memo_entry(self, fresh_tables):
+        for m in (Monomial(V("[1, -2]")), Monomial(V("[0, 1/2, 3]")), Monomial.ONE):
+            assert m * Monomial.ONE is m and Monomial.ONE * m is m
+        assert logts._products == {}
+
+    def test_a_product_that_cancels_is_the_monomial_one(self, fresh_tables):
+        x = Monomial(unit(0))
+        assert x * x.inv() is Monomial.ONE and x.inv() * x is Monomial.ONE
+
+    def test_an_interned_product_builds_no_exponent_vector(self, fresh_tables, monkeypatch):
+        a, b = Monomial(V("[1, 1/2]")), Monomial(V("[0, -1, 3]"))
+        interned = Monomial(V("[1, -1/2, 3]"))
+        built = []
+        from_items = logts._from_items
+        for module in (logts, ogroup):
+            monkeypatch.setattr(module, "_from_items", lambda items: built.append(items) or from_items(items))
+        assert a * b is interned and built == []
+        assert (id(a), id(b)) in logts._products
+        fresh = interned * b
+        assert built == [fresh.exponents.key] and fresh is Monomial(V("[1, -3/2, 6]"))
+        assert hash(fresh) == hash(("mono", fresh.exponents))
+
+
 def _smaller_term(rng: random.Random, f: Frac) -> Frac:
     """One term strictly below the leading term of the nonzero f."""
     mono, _ = f.num.leading()
@@ -643,6 +675,35 @@ class TestDerivativeSlot:
             assert _key_terms(again) == _reference_derivative(s)
             assert s.derivative() == Series(s.terms).derivative()
         assert len(logts._interned) <= 8 and len(logts._products) <= 16
+
+
+class TestFracMemo:
+    def test_derivative_and_inverse_are_built_once(self):
+        rng = random.Random(89)
+        for _ in range(200):
+            f = random_frac(rng, allow_zero=True)
+            fresh = Frac(f.num, f.den)
+            assert f.derivative() is f.derivative()
+            assert f.derivative() == fresh.derivative()
+            if f.is_zero():
+                continue
+            inverse = f.inv()
+            assert f.inv() is inverse and inverse == fresh.inv()
+            # No link back to the source, so no reference cycle.
+            assert not hasattr(inverse, "_inv") and inverse.inv() == f
+
+    def test_the_inverse_of_zero_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ZeroDivisionError):
+                Frac.ZERO.inv()
+        assert not hasattr(Frac.ZERO, "_inv")
+
+    def test_frac_stays_immutable(self):
+        f = Frac(Series.ONE, Series.ONE + Series.monomial(Monomial(V("[-1]"))))
+        f.derivative(), f.inv()
+        for name in ("num", "_deriv", "_inv"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, None)
 
 
 class TestOperandTypes:

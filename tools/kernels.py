@@ -39,8 +39,19 @@ Inputs are seeded and the same on every checkout.  Kernels:
                         and the last rational map of R_FAMILY, after one
                         warm-up
   lambda_chunk          pcseq.lambda_suite(12, 100, seed), after one warm-up
+  pc_prefix_lambda      pcseq.is_pc_prefix on lambda_seq(12), built fresh
+                        (untimed) for each repeat
+  equivalent_lambda     pcseq.equivalent_prefix(lambda_seq(12),
+                        perturbed_lambda_seq(12)), the same way: eleven
+                        deep-cancelling cross kernel calls
+  frac_inverse_derivative
+                        f.inv().derivative() twice on each seeded f with
+                        v(f) < 0, as check_axioms' small and bounded lines
+                        do (fresh elements per repeat, tables cleared
+                        before they are built)
   sample_elem           acouple.sample_elem(rng) at its defaults
-  vector_add            a + b on sampled vectors (ogroup._merge)
+  vector_add            a + b on sampled vectors (GroupElem.__add__ over
+                        ogroup._merge)
   integrate             acouple.integrate(g) on sampled vectors
   psi                   acouple.psi(g) on sampled vectors
   identity_chunk        acouple.identity_suite(25, seed), after one warm-up
@@ -229,6 +240,27 @@ def _lambda_chunk(pcseq, rep: int) -> float:
     return _timed([lambda: pcseq.lambda_suite(12, 100, rep + 2)])
 
 
+def _pc_prefix_lambda(pcseq, rep: int) -> float:
+    seq = pcseq.lambda_seq(12)
+    return _timed([lambda: pcseq.is_pc_prefix(seq)])
+
+
+def _equivalent_lambda(pcseq, rep: int) -> float:
+    seq, perturbed = pcseq.lambda_seq(12), pcseq.perturbed_lambda_seq(12)
+    return _timed([lambda: pcseq.equivalent_prefix(seq, perturbed)])
+
+
+def _frac_inverse_derivative(logts, rep: int) -> float:
+    logts._clear_tables()
+    rng = random.Random(rep)
+    large = []
+    while len(large) < GENERAL_BATCH:
+        f = logts.random_frac(rng)
+        if f.valuation() < logts.GroupElem.ZERO:
+            large.append(f)
+    return _timed([lambda f=f: (f.inv().derivative(), f.inv().derivative()) for f in large])
+
+
 def _vectors(acouple, seed: int) -> list:
     rng = random.Random(seed)
     return [acouple.sample_elem(rng) for _ in range(BATCH)]
@@ -340,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
         "frac_add_shared": (logts, _frac_add_shared),
         "kaplansky_check": (pcseq, _kaplansky_check),
         "lambda_chunk": (pcseq, _lambda_chunk),
+        "pc_prefix_lambda": (pcseq, _pc_prefix_lambda),
+        "equivalent_lambda": (pcseq, _equivalent_lambda),
+        "frac_inverse_derivative": (logts, _frac_inverse_derivative),
         "sample_elem": (acouple, _sample_elem),
         "vector_add": (acouple, _vector_add),
         "integrate": (acouple, _integrate),
@@ -361,14 +396,15 @@ def main(argv: list[str] | None = None) -> int:
     for name, (module, kernel) in kernels.items():
         samples = [kernel(module, rep) for rep in range(REPEATS)]
         batch = {"lambda_chunk": 1, "identity_chunk": 1, "kaplansky_check": 1, "import_cli": 1,
-                 "jammedness_suite": 1,
+                 "jammedness_suite": 1, "pc_prefix_lambda": 1, "equivalent_lambda": 1,
+                 "frac_inverse_derivative": GENERAL_BATCH,
                  "series_mul_general": GENERAL_BATCH, "frac_eq_cross": GENERAL_BATCH,
                  "frac_eq_small": GENERAL_BATCH, "vdiff_cross": GENERAL_BATCH,
                  "frac_leibniz": GENERAL_BATCH, "frac_add_shared": GENERAL_BATCH,
                  "cli_extend": CLI_EXTEND_BATCH, "extend_chain": CHAIN_BATCH}.get(name, BATCH)
         results[name] = {"ns_per_op": statistics.median(samples), "repeats": REPEATS,
                          "batch": batch}
-        print(f"{name:20s} {results[name]['ns_per_op']:14,.0f} ns/op")
+        print(f"{name:23s} {results[name]['ns_per_op']:14,.0f} ns/op")
     payload = {
         "src": os.path.relpath(os.path.abspath(args.src), ROOT),
         "python": platform.python_version(),
