@@ -543,12 +543,12 @@ SUITES = {
 # Commands.
 
 def _emit(payload: dict, pretty: bool) -> None:
-    print(json.dumps(payload, indent=2 if pretty else None, sort_keys=True))
+    print(json.dumps(payload, indent=2 if pretty else None, sort_keys=True, default=vector_json))
 
 
 def _cmd_val(args: argparse.Namespace) -> int:
     f = evaluate(parse(args.expr))
-    _emit({"valuation": vector_json(f.valuation())}, args.pretty)
+    _emit({"valuation": f.valuation()}, args.pretty)
     return 0
 
 
@@ -557,7 +557,7 @@ def _cmd_psi(args: argparse.Namespace) -> int:
     v = f.valuation()
     if not isinstance(v, GroupElem) or v.is_zero():
         raise ExprSemanticError("psi needs an element with nonzero finite valuation")
-    _emit({"psi": vector_json(psi(v))}, args.pretty)
+    _emit({"psi": psi(v)}, args.pretty)
     return 0
 
 
@@ -565,8 +565,8 @@ def _cmd_cmp(args: argparse.Namespace) -> int:
     f = evaluate(parse(args.left))
     g = evaluate(parse(args.right))
     _emit({
-        "left": vector_json(f.valuation()),
-        "right": vector_json(g.valuation()),
+        "left": f.valuation(),
+        "right": g.valuation(),
         "dominance": dominance(f, g).value,
         "equal": f == g,
     }, args.pretty)
@@ -638,8 +638,7 @@ def _cmd_set(args: argparse.Namespace) -> int:
                     f"{verdict.rule} certificate failed on {setprops.describe(desc)}")
             payload = verdict.to_dict()
         elif query == "sup":
-            sup = setprops.sup_in_divhull(desc)
-            payload = {"sup": None if sup is None else vector_json(sup)}
+            payload = {"sup": setprops.sup_in_divhull(desc)}
         elif query == "half":
             payload = {"half": setprops.subset_half(desc)}
         elif query.startswith("member"):

@@ -8,6 +8,8 @@ never guess: Holds and Fails are produced only where the structure of the
 group makes the quantifiers finite (rule layer), and sampled escapes that
 no such rule backs give Unknown.
 
+A certificate is a value: its vectors are GroupElems, and only the CLI
+writes it as JSON.  The verdict functions do not check what they return.
 One exact checker, behind ``recheck_jammed`` and ``recheck_yardstick``,
 decides Holds and Fails certificates without sampling.  It checks that
 the rule applies to the descriptor's class, checks the stated data, and
@@ -48,7 +50,7 @@ from typing import Optional, Union
 from . import extend
 from .acouple import Report, chi, der, first_non_one, integrate, sample_elem, sample_nonzero
 from .extend import ExtS, step_bound
-from .ogroup import GroupElem, ones, unit, vector_json
+from .ogroup import GroupElem, ones, unit
 from .record import Record
 
 HOLDS = "holds"
@@ -314,7 +316,7 @@ def is_jammed(desc: SetDescriptor) -> PropertyVerdict:
     if isinstance(desc, (LessThan, PsiDown)):
         rule, family = (("principal-downset", "bound - e_k/2") if isinstance(desc, LessThan)
                         else ("psi-downset", "ones(k)"))
-        bases = {str(k): vector_json(_cofinal_member(desc, k - 1)) for k in (1, 2, 3)}
+        bases = {str(k): _cofinal_member(desc, k - 1) for k in (1, 2, 3)}
         return PropertyVerdict(HOLDS, rule, {"base_family": family, "sample_bases": bases})
     if isinstance(desc, Affine):
         return _transport_verdict(is_jammed(desc.inner), "affine-invariance")
@@ -325,11 +327,11 @@ def is_jammed(desc: SetDescriptor) -> PropertyVerdict:
     if cap is not None:
         # Every member admits the escape gamma + e_1 at tail index 2, so no
         # base can trap; the checker verifies the recorded instances.
-        samples = [{"base": vector_json(b), "escape": vector_json(b + unit(1))}
+        samples = [{"base": b, "escape": b + unit(1)}
                    for b in (_cofinal_member(desc, i) for i in (0, 1, 2))]
         return PropertyVerdict(FAILS, "coordinate-cap-escape",
-                               {"level": 2, "bump": vector_json(unit(1)),
-                                "coord0_cap": str(cap), "samples": samples})
+                               {"level": 2, "bump": unit(1), "coord0_cap": str(cap),
+                                "samples": samples})
 
     # Only integral images reach this point.
     try:
@@ -366,15 +368,14 @@ def has_yardstick(desc: SetDescriptor) -> PropertyVerdict:
     if isinstance(desc, LessThan):
         if desc.bound.is_zero():
             return PropertyVerdict(HOLDS, "negative-cone",
-                                   {"base": vector_json(-unit(0)),
+                                   {"base": -unit(0),
                                     "certificate": "the step keeps the leading index and "
                                                    "its negative coefficient"})
         return PropertyVerdict(FAILS, "cofinal-escape", _less_than_escape(desc.bound))
     if isinstance(desc, PsiDown):
         w = ones(2) - unit(2).div(2)
         return PropertyVerdict(FAILS, "cofinal-escape",
-                               {"witness": vector_json(w),
-                                "stepped": vector_json(_step(w)),
+                               {"witness": w, "stepped": _step(w),
                                 "family": "ones(n) - e_n/2 for n >= 2 is cofinal and "
                                           "steps to coordinate 2 at index 1"})
     if isinstance(desc, IntImage):
@@ -387,7 +388,7 @@ def has_yardstick(desc: SetDescriptor) -> PropertyVerdict:
             return PropertyVerdict(UNKNOWN, "unsupported-membership", {"reason": str(exc)})
         if inner.verdict == HOLDS:
             # Only a scenario set holds (constructive-step), from the base v(s).
-            base = vector_json(integrate(desc.inner.scenario.s_valuation()))
+            base = integrate(desc.inner.scenario.s_valuation())
             return PropertyVerdict(HOLDS, "integral-transport",
                                    {"inherited_from": inner.rule, "base": base})
         return _yardstick_search(desc)
@@ -398,14 +399,14 @@ def has_yardstick(desc: SetDescriptor) -> PropertyVerdict:
         return _yardstick_search(desc)
     if isinstance(desc, ExtS):
         return PropertyVerdict(HOLDS, "step-closed-handle",
-                               {"base": vector_json(desc.cofinal(0)), "scenario": desc.kind})
+                               {"base": desc.cofinal(0), "scenario": desc.kind})
     return _yardstick_search(desc)
 
 
 def _less_than_escape(bound: GroupElem) -> dict:
     t = max(bound.first_index() + 2, 5)
     w = bound - unit(t).div(2)
-    return {"witness": vector_json(w), "stepped": vector_json(_step(w)),
+    return {"witness": w, "stepped": _step(w),
             "family": f"bound - e_t/2 for t >= {t} is cofinal and steps above the bound"}
 
 
@@ -433,7 +434,7 @@ def _yardstick_search(desc: SetDescriptor, step=_step, rule_prefix: str = "") ->
                                {"reason": str(exc)})
     if escapes:
         top = max(escapes)
-        payload = {"witness": vector_json(top), "stepped": vector_json(step(top)),
+        payload = {"witness": top, "stepped": step(top),
                    "escape_count": len(escapes), "frontier": tried}
         if is_downward_closed(desc):
             return PropertyVerdict(FAILS, rule_prefix + "escape-monotone-downset", payload)
@@ -449,15 +450,10 @@ def has_derived_yardstick(desc: SetDescriptor) -> PropertyVerdict:
     if _has_greatest(desc):
         return _greatest_element()
     if isinstance(desc, ExtS):
-        verdict = PropertyVerdict(HOLDS, "constructive-step",
-                                  {"base": vector_json(desc.scenario.s_valuation()),
-                                   "scenario": desc.kind,
-                                   "certificate": "each step re-verified exactly by the "
-                                                  "extension machinery"})
-        if recheck_yardstick(desc, verdict):
-            return verdict
-        # The shipped sets are closed under the step: this is a broken certificate, not a Fails.
-        raise ArithmeticError(f"constructive-step certificate failed on (exts {desc.kind})")
+        return PropertyVerdict(HOLDS, "constructive-step",
+                               {"base": desc.scenario.s_valuation(), "scenario": desc.kind,
+                                "certificate": "each step re-verified exactly by the "
+                                               "extension machinery"})
     return _yardstick_search(desc, step=step_bound, rule_prefix="derived-")
 
 
@@ -499,14 +495,10 @@ _YARDSTICK_RULES = {"negative-cone": {HOLDS}, "step-closed-handle": {HOLDS},
                     "derived-escape-monotone-downset": {FAILS}}
 
 
-def _vector(w: dict, key: str) -> GroupElem:
-    return GroupElem.from_list(w[key])
-
-
 def _escapes(desc: SetDescriptor, w: dict, step) -> bool:
     """The stated witness is a member whose stated step leaves the set."""
-    g = _vector(w, "witness")
-    return member(desc, g) and not member(desc, step(g)) and _vector(w, "stepped") == step(g)
+    g = w["witness"]
+    return member(desc, g) and not member(desc, step(g)) and w["stepped"] == step(g)
 
 
 def _constructive_step(desc: SetDescriptor, base: GroupElem) -> bool:
@@ -521,7 +513,8 @@ def _constructive_step(desc: SetDescriptor, base: GroupElem) -> bool:
 
 def _certified(desc: SetDescriptor, verdict: PropertyVerdict, rules: dict) -> bool:
     """Whether a Holds or Fails certificate, under a rule of ``rules``,
-    proves its claim about desc; missing or malformed data fails."""
+    proves its claim about desc; missing or mistyped data, such as a
+    vector that is a JSON list and not a GroupElem, fails."""
     if verdict.verdict not in (HOLDS, FAILS):
         return True
     w, rule = verdict.witness or {}, verdict.rule
@@ -538,13 +531,13 @@ def _certified(desc: SetDescriptor, verdict: PropertyVerdict, rules: dict) -> bo
             sup = sup_in_divhull(desc)
             bases = {k: _cofinal_member(desc, k - 1) for k in (1, 2, 3)}
             return (isinstance(desc, LessThan if rule == "principal-downset" else PsiDown)
-                    and all(_vector(w["sample_bases"], k) == bases.get(int(k))
+                    and all(w["sample_bases"][k] == bases[int(k)]
                             for k in w["sample_bases"])
                     and all(member(desc, b) and (sup is None or (sup - b).first_index() >= k)
                             for k, b in bases.items()))
         if rule == "coordinate-cap-escape":
-            cap, bump = _coord0_capped(desc), _vector(w, "bump")
-            pairs = [(_vector(s, "base"), _vector(s, "escape")) for s in w["samples"]]
+            cap, bump = _coord0_capped(desc), w["bump"]
+            pairs = [(s["base"], s["escape"]) for s in w["samples"]]
             return (cap is not None and w["coord0_cap"] == str(cap) and bump == unit(1)
                     and w["level"] == 2
                     and all(member(desc, b) and member(desc, e) and e == b + bump for b, e in pairs))
@@ -552,7 +545,7 @@ def _certified(desc: SetDescriptor, verdict: PropertyVerdict, rules: dict) -> bo
             # The witness is top - e_t/2, top being b on (less b) or ones(t)
             # on psidown; each later member of the family steps by e_(m+1),
             # m = first_index(top), out of the set when t >= m + 2.
-            g = _vector(w, "witness")
+            g = w["witness"]
             top = desc.bound if isinstance(desc, LessThan) else ones(first_non_one(g))
             t = (top - g).first_index()
             return (isinstance(desc, (LessThan, PsiDown)) and top - g == unit(t).div(2)
@@ -560,7 +553,7 @@ def _certified(desc: SetDescriptor, verdict: PropertyVerdict, rules: dict) -> bo
         if rule.endswith("escape-monotone-downset"):
             step = _step if rule == "escape-monotone-downset" else step_bound
             return is_downward_closed(desc) and _escapes(desc, w, step)
-        base = _vector(w, "base")
+        base = w["base"]
         if rule == "negative-cone":
             return isinstance(desc, LessThan) and desc.bound.is_zero() and member(desc, base)
         if rule == "step-closed-handle":
@@ -569,7 +562,8 @@ def _certified(desc: SetDescriptor, verdict: PropertyVerdict, rules: dict) -> bo
             return (isinstance(desc, IntImage) and w["inherited_from"] == "constructive-step"
                     and _constructive_step(desc.inner, der(base)))
         return _constructive_step(desc, base) and w["scenario"] == desc.kind
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, UnsupportedDescriptor):
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError,
+            UnsupportedDescriptor):
         return False
 
 
@@ -633,9 +627,9 @@ def jammedness_suite(seed: int, beta_count: int = 20, invariance_count: int = 50
 
 
 def exclusion_suite(descriptors: list[tuple[str, SetDescriptor]], probes: int, seed: int) -> Report:
-    """Yardstick/jammed exclusion: both Holds forces the downward closure
-    to agree with the negative cone on probes; any Holds-yardstick set that
-    differs from the negative cone must not be jammed."""
+    """Yardstick/jammed exclusion on checked yardstick Holds: both Holds
+    forces the downward closure to agree with the negative cone on probes;
+    any Holds-yardstick set that differs from it must not be jammed."""
     rng = random.Random(seed)
     report = Report("yardstick-jammed-exclusion", seed, probes * max(1, len(descriptors)), "check")
     fails_seen = 0
@@ -643,6 +637,9 @@ def exclusion_suite(descriptors: list[tuple[str, SetDescriptor]], probes: int, s
     for name, desc in descriptors:
         y = has_yardstick(desc)
         if y.verdict != HOLDS:
+            continue
+        if not recheck_yardstick(desc, y):
+            report.fail("yardstick-certificate", descriptor=name, rule=y.rule)
             continue
         j = is_jammed(desc)
         down = desc if isinstance(desc, DownClosure) else DownClosure(desc)

@@ -1,15 +1,19 @@
 """The exact certificate checker behind ``recheck_jammed`` and
-``recheck_yardstick``: every real verdict passes, forged and mutated
-certificates are rejected, and no certificate path draws random numbers."""
+``recheck_yardstick``: every real verdict passes, printed certificates read
+back pass and print the same bytes, forged and mutated certificates are
+rejected, each ``aclab set`` request checks once, and no certificate path
+draws random numbers."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import random
 
 import pytest
 
-from aclab import acouple, cli, setprops
+from aclab import acouple, cli, extend, setprops
 from aclab.acouple import classify_couple
 from aclab.extend import BIG_INT, KINDS, SMALL_INT, ExtS
 from aclab.ogroup import GroupElem, unit, vector_json
@@ -30,7 +34,7 @@ from aclab.setprops import (
     recheck_yardstick,
 )
 
-from test_golden import GOLDEN
+from test_golden import GOLDEN, _descriptors
 
 REFERENCE_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.py")
 
@@ -53,26 +57,58 @@ def _load_reference():
     return module
 
 
+def from_dict(payload: dict) -> PropertyVerdict:
+    """Read a printed certificate back into values: each list becomes a
+    GroupElem, except that a list of dicts stays a list."""
+    return PropertyVerdict(payload["verdict"], payload["rule"], _values(payload.get("witness")))
+
+
+def _values(node):
+    if isinstance(node, dict):
+        return {key: _values(value) for key, value in node.items()}
+    if isinstance(node, list):
+        if any(isinstance(item, dict) for item in node):
+            return [_values(item) for item in node]
+        return GroupElem.from_list(node)
+    return node
+
+
+def _printed(verdict: PropertyVerdict) -> str:
+    """The bytes ``aclab set`` prints for the verdict."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(verdict.to_dict(), False)
+    return out.getvalue()
+
+
 def _with(verdict: PropertyVerdict, **changes) -> PropertyVerdict:
-    return PropertyVerdict(verdict.verdict, verdict.rule, {**verdict.witness, **changes})
+    """The verdict as printed, with JSON fields of its witness replaced, read back."""
+    payload = json.loads(_printed(verdict))
+    return from_dict({**payload, "witness": {**payload["witness"], **changes}})
+
+
+def _decided_golden() -> list[tuple[str, str, str]]:
+    """(descriptor, query, printed bytes) of every decided golden verdict."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        entries = json.load(fh)["cli"]
+    out = []
+    for entry in entries:
+        argv = [a for a in entry["argv"] if a != "--"]
+        if argv[0] == "set" and argv[2] in DECIDE and entry["code"] == 0:
+            if json.loads(entry["out"])["verdict"] in (HOLDS, FAILS):
+                out.append((argv[1], argv[2], entry["out"]))
+    return out
 
 
 class TestRealVerdictsPass:
     def test_every_decided_golden_verdict(self):
-        with open(GOLDEN, encoding="utf-8") as fh:
-            entries = json.load(fh)["cli"]
-        checked = 0
-        for entry in entries:
-            argv = [a for a in entry["argv"] if a != "--"]
-            if argv[0] != "set" or argv[2] not in DECIDE or entry["code"] != 0:
-                continue
-            payload = json.loads(entry["out"])
-            if payload["verdict"] in (HOLDS, FAILS):
-                # The printed certificate itself, not a recomputed one.
-                printed = PropertyVerdict(payload["verdict"], payload["rule"], payload.get("witness"))
-                assert DECIDE[argv[2]][1](cli.parse_descriptor(argv[1]), printed), argv
-                checked += 1
-        assert checked >= 50
+        decided = _decided_golden()
+        for text, query, printed in decided:
+            # The printed certificate itself, read back, not a recomputed one.
+            verdict = from_dict(json.loads(printed))
+            assert DECIDE[query][1](cli.parse_descriptor(text), verdict), (text, query)
+            assert _printed(verdict) == printed, (text, query)
+        assert len(decided) >= 50
 
     def test_random_set_queries(self):
         reference = _load_reference()
@@ -84,7 +120,10 @@ class TestRealVerdictsPass:
             decide, check = DECIDE[query]
             verdict = decide(desc)
             assert verdict.verdict == expected
-            assert check(desc, verdict), (text, query)
+            printed = _printed(verdict)
+            back = from_dict(json.loads(printed))
+            assert check(desc, back), (text, query)
+            assert _printed(back) == printed, (text, query)
             decided += verdict.verdict in (HOLDS, FAILS)
         assert decided > 2000
 
@@ -105,7 +144,8 @@ class TestForgedHoldsAreRejected:
     def test_yardstick(self, text):
         desc = cli.parse_descriptor(text)
         assert has_yardstick(desc).verdict == FAILS
-        forged = PropertyVerdict(HOLDS, "step-closed-handle", {"base": [5], "scenario": SMALL_INT})
+        forged = from_dict({"verdict": HOLDS, "rule": "step-closed-handle",
+                            "witness": {"base": [5], "scenario": SMALL_INT}})
         assert not recheck_yardstick(desc, forged)
 
     def test_a_rule_of_the_other_property(self):
@@ -119,7 +159,8 @@ class TestMutantsAreRejected:
         cone = LessThan(GroupElem.ZERO)
         principal = LessThan(unit(0))
         jammed = is_jammed(principal)
-        bases = {**jammed.witness["sample_bases"], "2": vector_json(unit(0) - unit(1))}
+        bases = {**json.loads(_printed(jammed))["witness"]["sample_bases"],
+                 "2": vector_json(unit(0) - unit(1))}
         derived = has_derived_yardstick(ExtS(BIG_INT))
         capped = is_jammed(IntImage(SMALL))
         for desc, verdict in [
@@ -148,9 +189,10 @@ class TestMutantsAreRejected:
         assert verdict.rule == "coordinate-cap-escape" and recheck_jammed(desc, verdict)
         # The stated instances move with the bump: 2 e_1 escapes from each of
         # them too, but only e_1 is the bump the capped-set lemma gives.
-        bump = GroupElem.from_list(change.get("bump", verdict.witness["bump"]))
+        printed = json.loads(_printed(verdict))["witness"]
+        bump = GroupElem.from_list(change.get("bump", printed["bump"]))
         samples = [{"base": s["base"], "escape": vector_json(GroupElem.from_list(s["base"]) + bump)}
-                   for s in verdict.witness["samples"]]
+                   for s in printed["samples"]]
         assert not recheck_jammed(desc, _with(verdict, samples=samples, **change))
 
     @pytest.mark.parametrize("desc, verdict", [
@@ -167,8 +209,8 @@ class TestMutantsAreRejected:
     def test_witness_that_does_not_escape(self):
         desc = LessThan(GroupElem.ZERO)
         # [-1] steps to [-1, 1], still in the negative cone.
-        forged = PropertyVerdict(FAILS, "escape-monotone-downset",
-                                 {"witness": [-1], "stepped": [-1, 1]})
+        forged = from_dict({"verdict": FAILS, "rule": "escape-monotone-downset",
+                            "witness": {"witness": [-1], "stepped": [-1, 1]}})
         assert not recheck_yardstick(desc, forged)
 
     def test_family_bound_below_first_index_plus_two(self):
@@ -210,6 +252,75 @@ class TestMutantsAreRejected:
     ], ids=["affine-on-down", "down-on-affine", "downward-on-affine", "integral-on-down"])
     def test_transport_on_the_wrong_wrapper(self, desc, verdict, check):
         assert not check(desc, verdict)
+
+
+def _vector_paths(node, path=()):
+    """(key path, vector) of each GroupElem in a witness."""
+    if isinstance(node, GroupElem):
+        yield path, node
+    elif isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _vector_paths(value, path + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+class TestVectorsThatAreNotValues:
+    def test_a_json_base_fails_without_raising(self):
+        real = has_derived_yardstick(ExtS(BIG_INT))
+        forged = PropertyVerdict(HOLDS, "constructive-step", {**real.witness, "base": [0, 1]})
+        assert not recheck_yardstick(ExtS(BIG_INT), forged)
+
+    def test_a_sample_base_outside_the_family_fails(self):
+        desc = cli.parse_descriptor("(less [1])")
+        real = is_jammed(desc)
+        for k in ("0", "4"):
+            bases = {**real.witness["sample_bases"], k: None}
+            forged = PropertyVerdict(HOLDS, real.rule, {**real.witness, "sample_bases": bases})
+            assert not recheck_jammed(desc, forged), k
+
+    def test_every_vector_field_of_every_golden_certificate(self):
+        # A vector left as printed, or as any other type, is refused.
+        for text, query, printed in _decided_golden():
+            desc, verdict = cli.parse_descriptor(text), from_dict(json.loads(printed))
+            check = DECIDE[query][1]
+            paths = list(_vector_paths(verdict.witness))
+            assert paths, text
+            for path, g in paths:
+                for bad in (vector_json(g), str(g), None, 0):
+                    forged = PropertyVerdict(verdict.verdict, verdict.rule,
+                                             _replaced(verdict.witness, path, bad))
+                    assert not check(desc, forged), (text, query, path, bad)
+
+
+class TestOneCheckPerRequest:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_derived_yardstick_steps_three_times(self, kind, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(setprops, "step_bound",
+                            lambda g: calls.append(g) or extend.step_bound(g))
+        assert cli.main(["set", f"(exts {kind})", "derived-yardstick"]) == 0
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("query", ["jammed", "yardstick"])
+    def test_no_vector_is_read_back(self, query, monkeypatch, capsys):
+        calls = []
+        from_list = GroupElem.from_list.__func__
+        monkeypatch.setattr(GroupElem, "from_list",
+                            classmethod(lambda cls, dense: calls.append(1) or from_list(cls, dense)))
+        for text in _descriptors():
+            cli.parse_descriptor(text)
+            parsing, calls[:] = len(calls), []
+            cli.main(["set", text, query])
+            # The request builds vectors from lists only to parse its descriptor.
+            assert len(calls) == parsing, text
+            calls[:] = []
 
 
 def _no_draws(*args, **kwargs):

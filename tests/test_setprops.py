@@ -188,7 +188,7 @@ class TestJammedness:
         desc = IntImage(s_descriptor(example(SMALL_INT)))
         verdict = is_jammed(desc)
         # g + e_2 stays in g + Delta_2, so this bump escapes from no member.
-        forged = PropertyVerdict(FAILS, verdict.rule, {**verdict.witness, "bump": [0, 0, 1]})
+        forged = PropertyVerdict(FAILS, verdict.rule, {**verdict.witness, "bump": V("[0, 0, 1]")})
         assert not recheck_jammed(desc, forged)
 
     def test_suite_holds(self):
@@ -233,13 +233,13 @@ class TestYardstick:
         desc = LessThan(unit(0))
         verdict = has_yardstick(desc)
         assert (verdict.verdict, verdict.rule) == (FAILS, "cofinal-escape")
-        assert verdict.witness["witness"] == [1, 0, 0, 0, 0, "-1/2"]
+        assert verdict.witness["witness"] == V("[1, 0, 0, 0, 0, -1/2]")
         assert recheck_yardstick(desc, verdict)
 
     def test_psidown_fails_with_cofinal_escape(self):
         verdict = has_yardstick(PSI_DOWN)
         assert (verdict.verdict, verdict.rule) == (FAILS, "cofinal-escape")
-        assert verdict.witness["witness"] == [1, 1, "-1/2"]
+        assert verdict.witness["witness"] == V("[1, 1, -1/2]")
         assert recheck_yardstick(PSI_DOWN, verdict)
 
     def test_sampled_escapes_off_a_downset_give_unknown(self):
@@ -272,8 +272,11 @@ class TestYardstick:
     def test_derived_yardstick_checks_real_steps(self, kind, monkeypatch):
         calls = []
         monkeypatch.setattr(setprops, "step_bound", lambda g: calls.append(g) or extend.step_bound(g))
-        verdict = has_derived_yardstick(s_descriptor(example(kind)))
-        assert verdict.verdict == HOLDS and len(calls) >= 3
+        desc = s_descriptor(example(kind))
+        verdict = has_derived_yardstick(desc)
+        # The verdict makes no step; its check makes three.
+        assert verdict.verdict == HOLDS and not calls
+        assert recheck_yardstick(desc, verdict) and len(calls) == 3
 
     def test_derived_yardstick_requires_a_half(self):
         with pytest.raises(UnsupportedDescriptor):
@@ -281,11 +284,12 @@ class TestYardstick:
 
     def test_refuted_step_is_a_broken_certificate(self, monkeypatch, capsys):
         monkeypatch.setattr(extend, "member", lambda sc, gamma: False)
-        with pytest.raises(ArithmeticError, match="constructive-step certificate failed"):
-            has_derived_yardstick(s_descriptor(example(BIG_INT)))
+        desc = s_descriptor(example(BIG_INT))
+        verdict = has_derived_yardstick(desc)
+        assert verdict.rule == "constructive-step" and not recheck_yardstick(desc, verdict)
         assert cli.main(["set", "(exts bigint)", "derived-yardstick"]) == 1
-        error = json.loads(capsys.readouterr().out)["error"]
-        assert error.startswith("constructive-step certificate failed") and "(exts bigint)" in error
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "constructive-step certificate failed on (exts bigint)"}
 
     def test_recheck_rejects_forged_yardstick_verdicts(self):
         desc = LessThan(unit(0))
@@ -312,3 +316,14 @@ class TestExclusionSuite:
         report = exclusion_suite(descriptors, probes=120, seed=9)
         assert report.ok
         assert report.cases == 360
+
+    def test_a_holds_whose_check_fails_is_a_named_failure(self, monkeypatch):
+        # No scenario set has members, so each scenario Holds fails its check.
+        monkeypatch.setattr(extend, "member", lambda sc, gamma: False)
+        report = exclusion_suite(cli._exclusion_descriptors(), probes=5, seed=9)
+        failed = {f["descriptor"]: f["rule"] for f in report.failures
+                  if f["check"] == "yardstick-certificate"}
+        assert failed == {"small-integrals": "step-closed-handle",
+                          "big-integrals": "step-closed-handle",
+                          "integrated-small": "integral-transport",
+                          "closed-small": "downward-transport"}

@@ -60,6 +60,9 @@ Inputs are seeded and the same on every checkout.  Kernels:
   cli_classify          cli.main(["classify", "trunc:3"]), the same way
   cli_set               cli.main(["set", "(less [1])", "jammed"]), the same
                         way: the verdict and the check of its certificate
+  cli_set_derived       cli.main(["set", "(exts bigint)", "derived-yardstick"]),
+                        the same way: three derived steps and their
+                        membership tests, in the certificate's one check
   cli_lambda            cli.main(["lambda", "3"]), the same way
   cli_extend            cli.main(["extend", "step", "--kind", "smallexpint",
                         "--iters", "15"]), the same way, batches of 20: the
@@ -69,6 +72,9 @@ Inputs are seeded and the same on every checkout.  Kernels:
   jammed_recheck        setprops.recheck_jammed on a (less ...) Holds and on
                         the shipped Fails, (down (int (exts smallint))),
                         alternately
+  yardstick_recheck     setprops.recheck_yardstick on the cofinal-escape
+                        Fails of (less [1]) and the integral-transport
+                        Holds of (int (exts smallint)), alternately
   jammedness_suite      setprops.jammedness_suite as `aclab suite
                         jammedness` runs it (with the shipped Fails), one
                         run per repeat, after one warm-up
@@ -318,6 +324,15 @@ def _jammed_recheck(cli, rep: int) -> float:
     return _timed([lambda d=d, v=v: setprops.recheck_jammed(d, v) for d, v in pairs] * (BATCH // 2))
 
 
+def _yardstick_recheck(cli, rep: int) -> float:
+    from aclab import setprops
+    pairs = []
+    for text in ("(less [1])", "(int (exts smallint))"):
+        desc = cli.parse_descriptor(text)
+        pairs.append((desc, setprops.has_yardstick(desc)))
+    return _timed([lambda d=d, v=v: setprops.recheck_yardstick(d, v) for d, v in pairs] * (BATCH // 2))
+
+
 def _jammedness_suite(cli, rep: int) -> float:
     from aclab import setprops
     if rep == 0:
@@ -383,11 +398,13 @@ def main(argv: list[str] | None = None) -> int:
         "cli_val": (cli, _cli_kernel(["val", "--", "x+1"])),
         "cli_classify": (cli, _cli_kernel(["classify", "trunc:3"])),
         "cli_set": (cli, _cli_kernel(["set", "(less [1])", "jammed"])),
+        "cli_set_derived": (cli, _cli_kernel(["set", "(exts bigint)", "derived-yardstick"])),
         "cli_lambda": (cli, _cli_kernel(["lambda", "3"])),
         "cli_extend": (cli, _cli_kernel(["extend", "step", "--kind", "smallexpint", "--iters", "15"],
                                         CLI_EXTEND_BATCH)),
         "extend_chain": (extend, _extend_chain),
         "jammed_recheck": (cli, _jammed_recheck),
+        "yardstick_recheck": (cli, _yardstick_recheck),
         "jammedness_suite": (cli, _jammedness_suite),
         "record_new": (cli, _record_new),
         "import_cli": (None, _import_kernel(os.path.abspath(args.src))),
