@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from .acouple import Report, integrate, psi
-from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, _from_items, _merge, as_rat, cmp, ones, unit
+from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, _from_items, _int_pair, _merge, as_rat, cmp, ones, unit
 from .record import Record
 
 
@@ -405,14 +405,10 @@ def _is_one(s: Series) -> bool:
 
 def _shifted(nums: dict[Monomial, int], mono: Monomial, factor: int) -> dict[Monomial, int]:
     """``{m * mono: n * factor}``; the products are distinct because the
-    monomials of ``nums`` are."""
+    monomials of ``nums`` are.  A shift by the monomial 1 only scales."""
+    if not mono.exponents._items:
+        return {m: n * factor for m, n in nums.items()}
     return {m * mono: n * factor for m, n in nums.items()}
-
-
-def _int_pair(value: RatLike) -> tuple[int, int]:
-    """An int or rational as (numerator, denominator) in lowest terms."""
-    q = value if isinstance(value, int) else as_rat(value)
-    return q.numerator, q.denominator
 
 
 Series.ZERO = Series()

@@ -11,12 +11,16 @@ A vector stores ``(index, numerator, denominator)`` integer triples sorted
 by index, none zero, each in lowest terms with a positive denominator, so
 equal vectors have equal triples and arithmetic runs on plain ints.
 ``Fraction`` appears only at the API (``items``, ``coeff``, ``to_list``).
+Coefficients come in as ints, ``p/q`` strings or ``Fraction``; a float is
+a ``TypeError``.
 
 A second element type adjoins a single extra point ``delta`` whose
 coordinate sequence is constant 1.  Sums ``base + q*delta`` are compared
 through their padded, eventually constant coordinate sequences; this
 places ``delta`` above every finite prefix ``e_0 + ... + e_n`` but below
-anything with a head start at an earlier coordinate.
+anything with a head start at an earlier coordinate.  q is stored like a
+coefficient, as a lowest-terms int pair, and read as a ``Fraction``
+through ``dq`` and ``padded``.
 
 Valuations take values in Gamma with a top point ``INFINITY`` adjoined,
 the value of zero, and ``vector_json`` prints it as ``"infinity"``.
@@ -38,10 +42,19 @@ Triples = tuple[tuple[int, int, int], ...]
 
 
 def as_rat(value: RatLike) -> Fraction:
-    """Coerce ints and ``p/q`` strings to an exact rational."""
+    """Coerce ints and ``p/q`` strings to an exact rational; a float is a
+    TypeError, as its binary value is seldom the rational meant."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float):
+        raise TypeError(f"exact rational expected, got the float {value!r}")
     return Fraction(value)
+
+
+def _int_pair(value: RatLike) -> tuple[int, int]:
+    """An int or rational as (numerator, denominator) in lowest terms."""
+    q = value if isinstance(value, int) else as_rat(value)
+    return q.numerator, q.denominator
 
 
 class GroupElem:
@@ -156,8 +169,7 @@ class GroupElem:
         return _from_items(tuple((i, -n, d) for i, n, d in self._items))
 
     def scale(self, factor: RatLike) -> "GroupElem":
-        q = factor if isinstance(factor, int) else as_rat(factor)
-        return self._scaled(q.numerator, q.denominator)
+        return self._scaled(*_int_pair(factor))
 
     def div(self, n: int) -> "GroupElem":
         """Exact division witnessing divisibility of the group."""
@@ -370,82 +382,96 @@ class ExtElem:
     element's padded coordinates are ``base_i + q`` for every i.  The
     sequence is eventually constant ``q``; comparisons read the first
     nonzero entry of the difference, and leave INFINITY to its operators.
+
+    q is stored as an int pair ``(_qn, _qd)`` in lowest terms with
+    ``_qd > 0``, as the vector stores its coefficients, so arithmetic and
+    comparison run on ints.  ``base`` and ``dq`` (q as a ``Fraction``) are
+    read-only properties.
     """
 
-    __slots__ = ("base", "dq")
+    __slots__ = ("_base", "_qn", "_qd")
 
     def __init__(self, base: GroupElem = GroupElem.ZERO, dq: RatLike = 0) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "dq", as_rat(dq))
+        q = as_rat(dq)
+        self._base = base
+        self._qn = q.numerator
+        self._qd = q.denominator
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ExtElem is immutable")
+    @property
+    def base(self) -> GroupElem:
+        return self._base
+
+    @property
+    def dq(self) -> Fraction:
+        return Fraction(self._qn, self._qd)
 
     def padded(self, index: int) -> Fraction:
-        return self.base.coeff(index) + self.dq
+        return self._base.coeff(index) + self.dq
 
     def is_zero(self) -> bool:
-        return self.dq == 0 and self.base.is_zero()
+        return not self._qn and not self._base._items
 
     def first_index(self) -> int:
         """First index with nonzero padded entry; error on the zero element."""
-        i, sign = _padded_lead(self.base._items, self.dq, (), _NO_DELTA)
+        i, sign = _padded_lead(self._base._items, self._qn, self._qd, (), 0, 1)
         if not sign:
             raise ValueError("the zero element has no leading index")
         return i
 
     def sign(self) -> int:
-        return _padded_lead(self.base._items, self.dq, (), _NO_DELTA)[1]
+        return _padded_lead(self._base._items, self._qn, self._qd, (), 0, 1)[1]
 
     def __add__(self, other: object) -> "ExtElem":
         if isinstance(other, ExtElem):
-            return ExtElem(self.base + other.base, self.dq + other.dq)
+            return _ext(self._base + other._base, *_q_add(self._qn, self._qd, other._qn, other._qd))
         if isinstance(other, GroupElem):
-            return ExtElem(self.base + other, self.dq)
+            return _ext(self._base + other, self._qn, self._qd)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExtElem":
-        return ExtElem(-self.base, -self.dq)
+        return _ext(-self._base, -self._qn, self._qd)
 
     def __sub__(self, other: object) -> "ExtElem":
         if isinstance(other, ExtElem):
-            return ExtElem(self.base - other.base, self.dq - other.dq)
+            return _ext(self._base - other._base, *_q_add(self._qn, self._qd, -other._qn, other._qd))
         if isinstance(other, GroupElem):
-            return ExtElem(self.base - other, self.dq)
+            return _ext(self._base - other, self._qn, self._qd)
         return NotImplemented
 
     def __rsub__(self, other: object) -> "ExtElem":
         if isinstance(other, GroupElem):
-            return ExtElem(other - self.base, -self.dq)
+            return _ext(other - self._base, -self._qn, self._qd)
         return NotImplemented
 
     def scale(self, factor: RatLike) -> "ExtElem":
-        q = as_rat(factor)
-        return ExtElem(self.base.scale(q), self.dq * q)
+        fn, fd = _int_pair(factor)
+        n, d = self._qn * fn, self._qd * fd
+        g = gcd(n, d)
+        return _ext(self._base._scaled(fn, fd), n // g, d // g)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExtElem):
-            return self.dq == other.dq and self.base == other.base
+            return self._qn == other._qn and self._qd == other._qd and self._base == other._base
         if isinstance(other, GroupElem):
-            return self.dq == 0 and self.base == other
+            return not self._qn and self._base == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        # With dq == 0 it equals its base, so it hashes like it.
-        return hash((self.base, self.dq)) if self.dq else hash(self.base)
+        # With q == 0 it equals its base, so it hashes like it.
+        return hash((self._base, self.dq)) if self._qn else hash(self._base)
 
     def _order(self, other: object, op: Callable[[int, int], bool]) -> bool:
         """``op(sign of self - other, 0)``, walking both operands in step;
         NotImplemented unless other is an ExtElem or a GroupElem."""
         if isinstance(other, ExtElem):
-            ib, qb = other.base._items, other.dq
+            ib, qn, qd = other._base._items, other._qn, other._qd
         elif isinstance(other, GroupElem):
-            ib, qb = other._items, _NO_DELTA
+            ib, qn, qd = other._items, 0, 1
         else:
             return NotImplemented
-        return op(_padded_lead(self.base._items, self.dq, ib, qb)[1], 0)
+        return op(_padded_lead(self._base._items, self._qn, self._qd, ib, qn, qd)[1], 0)
 
     def __lt__(self, other: object) -> bool:
         return self._order(other, lt)
@@ -459,26 +485,47 @@ class ExtElem:
     def __ge__(self, other: object) -> bool:
         return self._order(other, ge)
 
+    def _q_text(self) -> str:
+        return str(self._qn) if self._qd == 1 else f"{self._qn}/{self._qd}"
+
     def __str__(self) -> str:
-        if self.dq == 0:
-            return str(self.base)
-        if self.base.is_zero() and self.dq == 1:
+        if not self._qn:
+            return str(self._base)
+        if self._qn == self._qd == 1 and not self._base._items:
             return "delta"
-        return f"{self.base} + {self.dq}*delta"
+        return f"{self._base} + {self._q_text()}*delta"
 
     def __repr__(self) -> str:
-        return f"ExtElem({self.base!r}, {self.dq})"
+        return f"ExtElem({self._base!r}, {self._q_text()})"
 
 
-_NO_DELTA = Fraction(0)
+def _ext(base: GroupElem, qn: int, qd: int) -> ExtElem:
+    """Internal constructor: q = qn/qd already in lowest terms, qd > 0."""
+    out = object.__new__(ExtElem)
+    out._base = base
+    out._qn = qn
+    out._qd = qd
+    return out
 
 
-def _padded_lead(ia: Triples, qa: Fraction, ib: Triples, qb: Fraction) -> tuple[int, int]:
+def _q_add(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an/ad + bn/bd in lowest terms, from two lowest-terms pairs."""
+    if not bn:
+        return an, ad
+    if not an:
+        return bn, bd
+    n, d = an * bd + bn * ad, ad * bd
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _padded_lead(ia: Triples, qan: int, qad: int, ib: Triples, qbn: int, qbd: int) -> tuple[int, int]:
     """Where the padded sequences ``a_i + qa`` and ``b_i + qb`` first differ,
-    and the sign of ``a - b`` there (0 when they are equal).  Walks both
-    supports in step, like ``cmp``; past them the difference is qa - qb."""
-    qn = qa.numerator * qb.denominator - qb.numerator * qa.denominator
-    qd = qa.denominator * qb.denominator
+    and the sign of ``a - b`` there (0 when they are equal), for qa = qan/qad
+    and qb = qbn/qbd.  Walks both supports in step, like ``cmp``; past them
+    the difference is qa - qb."""
+    qn = qan * qbd - qbn * qad
+    qd = qad * qbd
     pa = pb = i = 0
     na, nb = len(ia), len(ib)
     while pa < na or pb < nb:
@@ -504,7 +551,7 @@ def _padded_lead(ia: Triples, qa: Fraction, ib: Triples, qb: Fraction) -> tuple[
     return i, (qn > 0) - (qn < 0)
 
 
-DELTA = ExtElem(GroupElem.ZERO, 1)
+DELTA = _ext(GroupElem.ZERO, 1, 1)
 
 ExtLike = Union[GroupElem, ExtElem]
 

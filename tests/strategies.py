@@ -23,9 +23,13 @@ def nonzero_elems() -> st.SearchStrategy[GroupElem]:
     return group_elems().filter(lambda g: not g.is_zero())
 
 
+def ext_parts() -> st.SearchStrategy[tuple[GroupElem, object]]:
+    """(base, q) pairs for ``ExtElem(base, q)``, q an int or a Fraction."""
+    return st.tuples(group_elems(), st.sampled_from([0, 0, 1, -1, Fraction(1, 2), 2, Fraction(-3, 2)]))
+
+
 def ext_elems() -> st.SearchStrategy[ExtElem]:
-    return st.tuples(group_elems(), st.sampled_from([0, 0, 1, -1, Fraction(1, 2), 2])).map(
-        lambda t: ExtElem(t[0], t[1]))
+    return ext_parts().map(lambda t: ExtElem(t[0], t[1]))
 
 
 def monomials(max_index: int = 5) -> st.SearchStrategy[Monomial]:

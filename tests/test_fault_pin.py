@@ -1,4 +1,4 @@
-"""Fault pin: the full reports of two suites run over deliberately broken
+"""Fault pin: the full reports of four suites run over deliberately broken
 kernels.
 
 Every other test runs the suites on working code, where they report no
@@ -10,6 +10,10 @@ run.
 
 * ``couple-psi``: ``acouple.psi`` returns ``psi(g) - e_0`` whenever ``g``
   has at least 5 support entries; ``verify_couple_axioms(300, 3)``.
+* ``couple-gap-psi``: the same fault, counting the support of an extension
+  element's base; ``verify_couple_axioms(300, 3, "loggap")``.
+* ``identities-chi``: ``acouple.chi`` returns ``chi(g) + e_0`` whenever
+  ``g`` has at least 4 support entries; ``identity_suite(300, 3)``.
 * ``field-valuation``: ``logts.Series.valuation`` adds ``e_3`` to the
   valuation of every 2-term series; ``check_axioms(80, 5)``.
 
@@ -26,19 +30,42 @@ import os
 import pytest
 
 from aclab import acouple, logts
-from aclab.ogroup import unit
+from aclab.ogroup import ExtElem, unit
 
 PIN = os.path.join(os.path.dirname(__file__), "fault_pin.json")
 
 
-def _couple_psi(mp: pytest.MonkeyPatch) -> dict:
+def _support_size(g) -> int:
+    return len((g.base if isinstance(g, ExtElem) else g).support)
+
+
+def _faulty_psi(mp: pytest.MonkeyPatch) -> None:
     real = acouple.psi
 
     def psi(g):
-        return real(g) - unit(0) if len(g.support) >= 5 else real(g)
+        return real(g) - unit(0) if _support_size(g) >= 5 else real(g)
 
     mp.setattr(acouple, "psi", psi)
+
+
+def _couple_psi(mp: pytest.MonkeyPatch) -> dict:
+    _faulty_psi(mp)
     return acouple.verify_couple_axioms(300, 3).to_dict()
+
+
+def _couple_gap_psi(mp: pytest.MonkeyPatch) -> dict:
+    _faulty_psi(mp)
+    return acouple.verify_couple_axioms(300, 3, "loggap").to_dict()
+
+
+def _identities_chi(mp: pytest.MonkeyPatch) -> dict:
+    real = acouple.chi
+
+    def chi(g):
+        return real(g) + unit(0) if len(g.support) >= 4 else real(g)
+
+    mp.setattr(acouple, "chi", chi)
+    return acouple.identity_suite(300, 3).to_dict()
 
 
 def _field_valuation(mp: pytest.MonkeyPatch) -> dict:
@@ -51,7 +78,12 @@ def _field_valuation(mp: pytest.MonkeyPatch) -> dict:
     return logts.check_axioms(80, 5).to_dict()
 
 
-FAULTS = {"couple-psi": _couple_psi, "field-valuation": _field_valuation}
+FAULTS = {
+    "couple-gap-psi": _couple_gap_psi,
+    "couple-psi": _couple_psi,
+    "field-valuation": _field_valuation,
+    "identities-chi": _identities_chi,
+}
 
 
 def _run(name: str) -> dict:

@@ -534,6 +534,18 @@ class TestFreshMonomials:
         assert hash(fresh) == hash(("mono", fresh.exponents))
 
 
+    def test_a_shift_by_the_monomial_one_makes_no_monomial_product(self, fresh_tables, monkeypatch):
+        s = Series([(Monomial(V("[1, -2]")), 3), (Monomial(V("[0, 1/2]")), Fraction(-1, 2)), (Monomial.ONE, 5)])
+        three = Series.from_rat(3)
+        calls = []
+        real = Monomial.__mul__
+        monkeypatch.setattr(Monomial, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
+        assert s.mul_term(Monomial.ONE, Fraction(2, 3)).terms == {m: c * Fraction(2, 3) for m, c in s.terms.items()}
+        assert (s * three).terms == (three * s).terms == {m: 3 * c for m, c in s.terms.items()}
+        assert calls == []
+        assert s.mul_term(Monomial(unit(1))) == s * Series.monomial(Monomial(unit(1))) and calls
+
+
 def _smaller_term(rng: random.Random, f: Frac) -> Frac:
     """One term strictly below the leading term of the nonzero f."""
     mono, _ = f.num.leading()

@@ -198,9 +198,36 @@ class TestDeltaExtension:
         assert DELTA < ones(2) + unit(2).scale(Fraction(3, 2))
         assert DELTA < unit(0).scale(2)
 
+    def test_base_and_dq_are_read_only(self):
+        e = ExtElem(unit(1), Fraction(1, 2))
+        for name, value in (("base", unit(0)), ("dq", 1), ("extra", 0)):
+            with pytest.raises(AttributeError):
+                setattr(e, name, value)
+        assert e == ExtElem(unit(1), Fraction(1, 2))
+
     def test_padded_coordinates(self):
         e = ExtElem(unit(1).scale(Fraction(1, 2)), Fraction(1, 3))
         assert e.padded(0) == Fraction(1, 3)
         assert e.padded(1) == Fraction(5, 6)
         assert e.padded(7) == Fraction(1, 3)
 
+
+
+class TestNoFloats:
+    @pytest.mark.parametrize("build", [
+        lambda: GroupElem([(0, 0.1)]),
+        lambda: GroupElem.from_list([1, 0.5]),
+        lambda: unit(1).scale(0.5),
+        lambda: ExtElem(GroupElem.ZERO, 0.1),
+        lambda: ExtElem(unit(0), 1).scale(0.5),
+        lambda: ogroup.as_rat(2.0),
+    ])
+    def test_a_float_is_a_type_error(self, build):
+        with pytest.raises(TypeError, match="float"):
+            build()
+
+    def test_exact_values_still_pass(self):
+        q = Fraction(1, 3)
+        assert ogroup.as_rat(q) is q
+        assert ogroup.as_rat("3/4") == Fraction(3, 4) and ogroup.as_rat(2) == 2
+        assert ExtElem(unit(0), "1/2").dq == Fraction(1, 2) and unit(1).scale(True) == unit(1)

@@ -55,6 +55,12 @@ Inputs are seeded and the same on every checkout.  Kernels:
   integrate             acouple.integrate(g) on sampled vectors
   psi                   acouple.psi(g) on sampled vectors
   identity_chunk        acouple.identity_suite(25, seed), after one warm-up
+  couple_chunk          acouple.verify_couple_axioms(25, seed, "logfull"),
+                        after one warm-up
+  couple_gap_chunk      the same on "loggap": sums, scales, psi and orders
+                        of ExtElem
+  ext_order             a < b on pairs of acouple.sample_ext draws, about
+                        half of them off the base group
   cli_val               cli.main(["val", "--", "x+1"]) in process, stdout
                         captured, after one warm-up: parser, parse, output
   cli_classify          cli.main(["classify", "trunc:3"]), the same way
@@ -296,6 +302,20 @@ def _identity_chunk(acouple, rep: int) -> float:
     return _timed([lambda: acouple.identity_suite(25, rep + 2)])
 
 
+def _couple_chunk(couple: str):
+    def kernel(acouple, rep: int) -> float:
+        if rep == 0:
+            acouple.verify_couple_axioms(25, 1, couple)
+        return _timed([lambda: acouple.verify_couple_axioms(25, rep + 2, couple)])
+    return kernel
+
+
+def _ext_order(acouple, rep: int) -> float:
+    rng = random.Random(rep)
+    pairs = [(acouple.sample_ext(rng), acouple.sample_ext(rng)) for _ in range(BATCH)]
+    return _timed([lambda a=a, b=b: a < b for a, b in pairs])
+
+
 def _cli_request(cli, argv: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(argv)
@@ -395,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         "integrate": (acouple, _integrate),
         "psi": (acouple, _psi),
         "identity_chunk": (acouple, _identity_chunk),
+        "couple_chunk": (acouple, _couple_chunk("logfull")),
+        "couple_gap_chunk": (acouple, _couple_chunk("loggap")),
+        "ext_order": (acouple, _ext_order),
         "cli_val": (cli, _cli_kernel(["val", "--", "x+1"])),
         "cli_classify": (cli, _cli_kernel(["classify", "trunc:3"])),
         "cli_set": (cli, _cli_kernel(["set", "(less [1])", "jammed"])),
@@ -412,7 +435,8 @@ def main(argv: list[str] | None = None) -> int:
     results = {}
     for name, (module, kernel) in kernels.items():
         samples = [kernel(module, rep) for rep in range(REPEATS)]
-        batch = {"lambda_chunk": 1, "identity_chunk": 1, "kaplansky_check": 1, "import_cli": 1,
+        batch = {"lambda_chunk": 1, "identity_chunk": 1, "couple_chunk": 1,
+                 "couple_gap_chunk": 1, "kaplansky_check": 1, "import_cli": 1,
                  "jammedness_suite": 1, "pc_prefix_lambda": 1, "equivalent_lambda": 1,
                  "frac_inverse_derivative": GENERAL_BATCH,
                  "series_mul_general": GENERAL_BATCH, "frac_eq_cross": GENERAL_BATCH,
