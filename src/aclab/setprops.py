@@ -5,8 +5,8 @@ A descriptor denotes a subset of the group.  Membership is always exact;
 the property queries return three-valued verdicts carrying either a rule
 name plus a checkable certificate, or Unknown with a reason.  Verdicts
 never guess: Holds and Fails are produced only where the structure of the
-group makes the quantifiers finite (rule layer), and sampled escapes that
-no such rule backs give Unknown.
+group makes the quantifiers finite (rule layer); an escape on a set not
+certified downward closed gives Unknown.
 
 A certificate is a value: its vectors are GroupElems, and only the CLI
 writes it as JSON.  The verdict functions do not check what they return.
@@ -36,8 +36,8 @@ quantifies over these tails only.
 
 Extension-scenario sets enter as ``ExtS(kind)``, defined in ``extend``
 and keyed by the scenario kind alone: the set of the shipped scenario of
-that kind.  Membership, sampling, the cofinal family, the derivative half
-and the coordinate-0 caps are read from ``extend``; the derived step is
+that kind.  Membership, the cofinal family, the derivative half and the
+coordinate-0 caps are read from ``extend``; the derived step is
 checked with ``extend.step_bound`` on the shipped scenario.
 """
 
@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import extend
-from .acouple import Report, chi, der, first_non_one, integrate, sample_elem, sample_nonzero
+from .acouple import Report, chi, der, first_non_one, integrate, sample_elem
 from .extend import ExtS, step_bound
 from .ogroup import GroupElem, ones, unit
 from .record import Record
@@ -215,52 +215,12 @@ def _require_half(desc: SetDescriptor, query: str = "integral image over") -> in
 
 
 # ---------------------------------------------------------------------------
-# Sampling members.
+# The cofinal family.
 
-_TAIL_POOL = [Fraction(q) for q in (-3, -2, -1, 1, 2, 3, "1/2", "-1/2", "5/2")]
-
-_SUB_ONE_POOL = [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(3, 4)]
-
-
-def _sample_positive(rng: random.Random) -> GroupElem:
-    g = sample_nonzero(rng, max_index=8)
-    return g if g.sign() > 0 else -g
-
-
-def _sample_psidown(rng: random.Random) -> GroupElem:
-    k = rng.randint(0, 5)
-    head = rng.choice(_SUB_ONE_POOL)
-    items = [(i, Fraction(1)) for i in range(k)]
-    if head:
-        items.append((k, head))
-    for j in range(rng.randint(0, 2)):
-        items.append((k + 1 + rng.randint(0, 3) + j, rng.choice(_TAIL_POOL)))
-    return GroupElem(items)
-
-
-def sample_member(desc: SetDescriptor, rng: random.Random) -> GroupElem:
-    """A random member; used for search frontiers and probe suites."""
-    if isinstance(desc, LessThan):
-        return desc.bound - _sample_positive(rng)
-    if isinstance(desc, LessEq):
-        return desc.bound - (_sample_positive(rng) if rng.random() < 0.8 else GroupElem.ZERO)
-    if isinstance(desc, PsiDown):
-        return _sample_psidown(rng)
-    if isinstance(desc, Affine):
-        return desc.alpha + sample_member(desc.inner, rng).scale(desc.n)
-    if isinstance(desc, DownClosure):
-        base = sample_member(desc.inner, rng)
-        return base - (_sample_positive(rng) if rng.random() < 0.5 else GroupElem.ZERO)
-    if isinstance(desc, IntImage):
-        return integrate(sample_member(desc.inner, rng))
-    if isinstance(desc, ExtS):
-        return desc.sample(rng)
-    raise UnsupportedDescriptor(f"unknown descriptor {desc!r}")
-
-
-def _cofinal_member(desc: SetDescriptor, i: int) -> Optional[GroupElem]:
-    """The i-th element of a strictly increasing member family, when one
-    is structurally available; used to anchor search frontiers."""
+def _cofinal_member(desc: SetDescriptor, i: int) -> GroupElem:
+    """The i-th member of a family cofinal in the set, strictly increasing
+    in i unless the set has a greatest element; the yardstick search walks
+    it, and rules name its first members as bases."""
     if isinstance(desc, LessThan):
         return desc.bound - unit(i + 1).div(2)
     if isinstance(desc, LessEq):
@@ -268,16 +228,14 @@ def _cofinal_member(desc: SetDescriptor, i: int) -> Optional[GroupElem]:
     if isinstance(desc, PsiDown):
         return ones(i + 1)
     if isinstance(desc, Affine):
-        inner = _cofinal_member(desc.inner, i)
-        return None if inner is None else desc.alpha + inner.scale(desc.n)
+        return desc.alpha + _cofinal_member(desc.inner, i).scale(desc.n)
     if isinstance(desc, DownClosure):
         return _cofinal_member(desc.inner, i)
     if isinstance(desc, IntImage):
-        inner = _cofinal_member(desc.inner, i)
-        return None if inner is None else integrate(inner)
+        return integrate(_cofinal_member(desc.inner, i))
     if isinstance(desc, ExtS):
         return desc.cofinal(i)
-    return None
+    raise UnsupportedDescriptor(f"unknown descriptor {desc!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -411,35 +369,25 @@ def _less_than_escape(bound: GroupElem) -> dict:
 
 
 def _yardstick_search(desc: SetDescriptor, step=_step, rule_prefix: str = "") -> PropertyVerdict:
-    """Search for members whose step leaves the set.  An escape decides
-    Fails on a downward-closed set only (escape-monotone-downset in the
-    module docstring); elsewhere escapes only refute bases below them, so
-    they give Unknown, as does a membership test the set does not support.
+    """Walk the first 200 members of the cofinal family for one whose step
+    leaves the set.  An escape decides Fails on a downward-closed set only
+    (escape-monotone-downset in the module docstring); elsewhere it refutes
+    only the bases below it, so it gives Unknown, as does a membership test
+    the set does not support.
     """
-    rng = random.Random(2031)
-    escapes: list[GroupElem] = []
-    tried = 0
     try:
         for i in range(200):
-            g = _cofinal_member(desc, i) if i < 8 else None
-            if g is None:
-                g = sample_member(desc, rng)
-            if not member(desc, g):
-                continue
-            tried += 1
-            if not member(desc, step(g)):
-                escapes.append(g)
+            g = _cofinal_member(desc, i)
+            stepped = step(g)
+            if not member(desc, stepped):
+                payload = {"witness": g, "stepped": stepped, "frontier": i + 1}
+                if is_downward_closed(desc):
+                    return PropertyVerdict(FAILS, rule_prefix + "escape-monotone-downset", payload)
+                return PropertyVerdict(UNKNOWN, rule_prefix + "escape-not-downset", payload)
     except UnsupportedDescriptor as exc:
         return PropertyVerdict(UNKNOWN, rule_prefix + "unsupported-membership",
                                {"reason": str(exc)})
-    if escapes:
-        top = max(escapes)
-        payload = {"witness": top, "stepped": step(top),
-                   "escape_count": len(escapes), "frontier": tried}
-        if is_downward_closed(desc):
-            return PropertyVerdict(FAILS, rule_prefix + "escape-monotone-downset", payload)
-        return PropertyVerdict(UNKNOWN, rule_prefix + "sampled-escape", payload)
-    return PropertyVerdict(UNKNOWN, rule_prefix + "search-no-escape", {"frontier": tried})
+    return PropertyVerdict(UNKNOWN, rule_prefix + "search-no-escape", {"frontier": 200})
 
 
 def has_derived_yardstick(desc: SetDescriptor) -> PropertyVerdict:

@@ -19,6 +19,7 @@ from aclab.acouple import (
     successor,
     verify_couple_axioms,
 )
+from aclab.cli import MAX_GENERATOR_INDEX
 from aclab.ogroup import DELTA, ExtElem, GroupElem, ones, unit
 
 from strategies import nonzero_elems
@@ -58,6 +59,16 @@ class TestOperatorOracles:
         assert successor(V("[1, 1, 3]")) == V("[1, 1, 1]")
         assert successor(V("[2]")) == V("[1]")
         assert successor(ones(4)) == ones(5)
+
+    @pytest.mark.parametrize("n", [33, 100, 1000, MAX_GENERATOR_INDEX])
+    def test_maps_at_far_first_indices(self, n):
+        # The closed forms are written out coordinate by coordinate, not via ones().
+        prefix = [(i, 1) for i in range(n)]
+        g = GroupElem([(n, Fraction(-3, 2)), (n + 2, 1)])
+        assert psi(g) == GroupElem(prefix + [(n, 1)])
+        assert der(g) == GroupElem(prefix + [(n, Fraction(-1, 2)), (n + 2, 1)])
+        assert integrate(der(g)) == g
+        assert successor(GroupElem(prefix)) == GroupElem(prefix + [(n, 1)])
 
     def test_chi(self):
         assert chi(V("[3]")) == V("[0, -1]")

@@ -1,8 +1,8 @@
 """The exact certificate checker behind ``recheck_jammed`` and
 ``recheck_yardstick``: every real verdict passes, printed certificates read
 back pass and print the same bytes, forged and mutated certificates are
-rejected, each ``aclab set`` request checks once, and no certificate path
-draws random numbers."""
+rejected, each ``aclab set`` request checks once, and no verdict or
+certificate path draws random numbers."""
 
 import contextlib
 import importlib.util
@@ -26,6 +26,8 @@ from aclab.setprops import (
     IntImage,
     LessThan,
     PropertyVerdict,
+    UnsupportedDescriptor,
+    describe,
     has_derived_yardstick,
     has_yardstick,
     is_jammed,
@@ -34,7 +36,7 @@ from aclab.setprops import (
     recheck_yardstick,
 )
 
-from test_golden import GOLDEN, _descriptors
+from test_golden import GOLDEN, _descriptors, corpus
 
 REFERENCE_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.py")
 
@@ -324,17 +326,30 @@ class TestOneCheckPerRequest:
 
 
 def _no_draws(*args, **kwargs):
-    raise AssertionError("a certificate path drew random numbers")
+    raise AssertionError("a verdict or certificate path drew random numbers")
+
+
+def _golden_set_descriptors() -> list:
+    """Every ``set`` descriptor of the golden corpus that parses."""
+    out = []
+    for text in dict.fromkeys(argv[1] for argv in corpus() if argv[0] == "set"):
+        with contextlib.suppress(cli.ExprSemanticError):
+            out.append(cli.parse_descriptor(text))
+    return out
 
 
 def test_certificate_paths_draw_no_random_numbers(monkeypatch):
-    descriptors = [cli.parse_descriptor(text) for text in
-                   ["psidown", "(less [1])", "(less [])", "(affine [0, 7] 3 psidown)"] + NOT_JAMMED]
-    verdicts = [(d, is_jammed(d), has_yardstick(d)) for d in descriptors]
+    descriptors = _golden_set_descriptors()
     for module in (setprops, acouple):
         monkeypatch.setattr(module.random, "Random", _no_draws)
-    for desc, jammed, yardstick in verdicts:
-        assert recheck_jammed(desc, jammed) and recheck_yardstick(desc, yardstick)
+    # The verdict functions and their checks both run with draws forbidden.
+    for desc in descriptors:
+        for decide, recheck in DECIDE.values():
+            try:
+                verdict = decide(desc)
+            except UnsupportedDescriptor:
+                continue
+            assert recheck(desc, verdict), (describe(desc), verdict.rule)
     for kind in KINDS:
         verdict = has_derived_yardstick(ExtS(kind))
         assert verdict.verdict == HOLDS and recheck_yardstick(ExtS(kind), verdict)

@@ -23,6 +23,7 @@ import random
 import pytest
 
 from aclab import cli, extend, setprops
+from aclab.acouple import integrate
 from aclab.ogroup import vector_json
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
@@ -117,10 +118,10 @@ def _sample_draws() -> dict:
     out = {}
     for kind in extend.KINDS:
         ext = extend.s_descriptor(extend.example(kind))
-        for desc in (ext, setprops.IntImage(ext)):
-            rng = random.Random(SAMPLE_SEED)
-            draws = [vector_json(setprops.sample_member(desc, rng)) for _ in range(SAMPLE_DRAWS)]
-            out[setprops.describe(desc)] = draws
+        rng = random.Random(SAMPLE_SEED)
+        draws = [ext.sample(rng) for _ in range(SAMPLE_DRAWS)]
+        out[setprops.describe(ext)] = [vector_json(g) for g in draws]
+        out[setprops.describe(setprops.IntImage(ext))] = [vector_json(integrate(g)) for g in draws]
     return out
 
 
