@@ -156,7 +156,11 @@ class CoupleDescriptor(Record):
         if name == "loggap":
             return cls("loggap")
         if name.startswith("trunc:"):
-            return cls("trunc", int(name.split(":", 1)[1]))
+            try:
+                bound = int(name[len("trunc:"):])
+            except ValueError:
+                raise ValueError(f"couple {text!r} needs a whole-number bound after 'trunc:'") from None
+            return cls("trunc", bound)
         raise ValueError(f"unknown couple name {text!r}")
 
     def __str__(self) -> str:

@@ -486,13 +486,6 @@ def _sexpr_vector(tokens: list[str]) -> tuple[GroupElem, list[str]]:
     return vec, rest
 
 
-def parse_vector(text: str) -> GroupElem:
-    try:
-        return GroupElem.parse(text)
-    except ValueError as exc:
-        raise ExprSemanticError(str(exc)) from None
-
-
 # ---------------------------------------------------------------------------
 # Suites registry: name -> (runner over the parsed arguments, default --cases,
 # largest --cases, or None where the suite has a fixed size and ignores it).
@@ -642,7 +635,7 @@ def _cmd_set(args: argparse.Namespace) -> int:
         elif query == "half":
             payload = {"half": setprops.subset_half(desc)}
         elif query.startswith("member"):
-            vec = parse_vector(query[len("member"):].strip())
+            vec = GroupElem.parse(query[len("member"):].strip())
             payload = {"member": setprops.member(desc, vec)}
         else:
             raise ExprSemanticError(

@@ -29,33 +29,19 @@ from .record import Record
 
 
 # Monomials are hash-consed (Filliatre & Conchon, "Type-safe modular
-# hash-consing", 2006): ``Monomial(g)`` returns the live instance for ``g``
-# from an intern table, and each ordered product of two instances is memoised.
-# A table that reaches its cap is emptied, which bounds their memory.  A full
-# product memo empties only itself: each entry holds its factors, so their ids
-# stay pinned, and the interned monomials stay live for the next products.  A
-# full intern table empties both, so the memo never returns an instance the
-# table has dropped.  A monomial built before a clear is then a different
-# object from an equal one built after it, so equality falls back to comparing
-# exponent vectors and no result depends on which instance is used.
-# ``Monomial.__mul__`` is the only reader and writer of ``_products``.  A
-# factor 1 returns the other factor and adds no entry; on a miss the summed
-# exponent triples are looked up in ``_interned``, and a ``GroupElem`` and a
-# ``Monomial`` are built only for a new monomial.  No comparison of field
-# elements builds or interns a monomial (see ``_packing``).
+# hash-consing", 2006): ``Monomial(g)`` and every monomial product return the
+# live instance for their exponent vector from one intern table.  A table that
+# reaches its cap is emptied, which bounds its memory.  A monomial built before
+# a clear is then a different object from an equal one built after it, so
+# equality falls back to comparing exponent vectors and no result depends on
+# which instance is used.  In ``Monomial.__mul__`` a factor 1 returns the other
+# factor; otherwise the summed exponent triples are looked up in ``_interned``,
+# and a ``GroupElem`` and a ``Monomial`` are built only for a new monomial.  No
+# comparison of field elements builds or interns a monomial (see ``_packing``).
 INTERN_CAP = 1024
-PRODUCT_CAP = 4 * INTERN_CAP
 
 # Keyed by GroupElem.key, which also serves the structural equality fallback.
 _interned: dict[tuple[tuple[int, int, int], ...], "Monomial"] = {}
-# (id(a), id(b)) -> (a, b, a * b).  Holding the factors keeps both ids from
-# being reused by other objects while the entry exists.
-_products: dict[tuple[int, int], tuple["Monomial", "Monomial", "Monomial"]] = {}
-
-
-def _clear_tables() -> None:
-    _interned.clear()
-    _products.clear()
 
 
 class Monomial:
@@ -80,16 +66,8 @@ class Monomial:
             return self
         if not ia:
             return other
-        key = (id(self), id(other))
-        hit = _products.get(key)
-        if hit is not None:
-            return hit[2]
-        if len(_products) >= PRODUCT_CAP:
-            _products.clear()
         items = _merge(ia, ib, False)
-        product = _interned.get(items) or _intern(_from_items(items))
-        _products[key] = (self, other, product)
-        return product
+        return _interned.get(items) or _intern(_from_items(items))
 
     def inv(self) -> "Monomial":
         return Monomial(-self.exponents)
@@ -143,7 +121,7 @@ def _intern(exponents: GroupElem) -> Monomial:
     mono = _interned.get(key)
     if mono is None:
         if len(_interned) >= INTERN_CAP:
-            _clear_tables()
+            _interned.clear()
         mono = object.__new__(Monomial)
         object.__setattr__(mono, "exponents", exponents)
         object.__setattr__(mono, "_hash", hash(("mono", exponents)))
@@ -454,7 +432,10 @@ class Frac:
     is attempted, so equal elements may have different normal forms.
 
     Invariant: every factor leads with exactly ``1 * x^0``, no factor is 1,
-    and no two factors are equal; zero is ``0`` with no factors.  The
+    and no two factors are equal; zero is ``0`` with no factors.
+    ``Frac(num, den)`` divides both by the leading term of ``den``, and it
+    and every operation finish through ``_frac``, the one place that drops
+    the factors of zero and cancels n/n to 1.  The
     product of factors that lead with 1 leads with 1, so every denominator
     has valuation 0, valuation, sign and leading coefficient read off the
     numerator, and ``lead(n_f * c) == lead(n_f)`` for any product c of
@@ -471,7 +452,8 @@ class Frac:
     multiplicity of each factor): under equal multisets they add or compare
     the numerators; otherwise the numerators times the cofactors L/D_f and
     L/D_g, and equality and ``vdiff`` compare those in the cross kernel, so
-    no comparison builds a monomial.
+    no comparison builds a monomial.  The numerator of a power is squared
+    and multiplied in ``_expand``, as the expanded denominator is.
     """
 
     __slots__ = ("num", "_factors", "_den", "_deriv", "_inv")
@@ -479,29 +461,16 @@ class Frac:
     ZERO: "Frac"
     ONE: "Frac"
 
-    def __init__(self, num: Series, den: Series = Series.ONE) -> None:
+    def __new__(cls, num: Series, den: Series = Series.ONE) -> "Frac":
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        factors: Factors = ()
-        if num.is_zero():
-            num = Series.ZERO
-        else:
-            lead_mono, lead_coeff = den.leading()
-            if lead_coeff != 1 or not lead_mono.exponents.is_zero():
-                adjust_mono = lead_mono.inv()
-                adjust_coeff = 1 / lead_coeff
-                num = num.mul_term(adjust_mono, adjust_coeff)
-                den = den.mul_term(adjust_mono, adjust_coeff)
-            # A series that leads with 1 * x^0 and has one term is 1, and so
-            # is n/n.
-            if len(den) > 1:
-                if num == den:
-                    num = den = Series.ONE
-                else:
-                    factors = ((den, 1),)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "_factors", factors)
-        object.__setattr__(self, "_den", den if factors else Series.ONE)
+        lead_mono, lead_coeff = den.leading()
+        if lead_coeff != 1 or not lead_mono.exponents.is_zero():
+            adjust_mono, adjust_coeff = lead_mono.inv(), 1 / lead_coeff
+            num = num.mul_term(adjust_mono, adjust_coeff)
+            den = den.mul_term(adjust_mono, adjust_coeff)
+        # A series that leads with 1 * x^0 and has one term is 1.
+        return _frac(num, ((den, 1),) if len(den) > 1 else ())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Frac is immutable")
@@ -569,15 +538,8 @@ class Frac:
             raise BudgetExceeded(
                 f"a power {power} would form coefficients of up to {bits} bits, "
                 f"above the budget of {MAX_COEFF_BITS} bits")
-        out = Frac.ONE
-        base = self
-        k = power
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        factors = tuple((s, k * power) for s, k in self._factors) if power else ()
+        return _frac(_expand(((self.num, power),)), factors)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Frac):

@@ -21,7 +21,6 @@ from aclab.cli import (
     main,
     parse,
     parse_descriptor,
-    parse_vector,
     print_ast,
     random_expression,
 )
@@ -102,11 +101,6 @@ class TestDescriptors:
         desc = parse_descriptor("(down (int (exts smallint)))")
         assert member(desc, V("[1, 50]"))
         assert not member(desc, V("[2, 50]"))
-
-    def test_vector_parse(self):
-        assert parse_vector("[1, -1/2]") == V("[1, -1/2]")
-        with pytest.raises(ValueError):
-            parse_vector("1, 2")
 
     def test_malformed_descriptor(self):
         with pytest.raises(ValueError):

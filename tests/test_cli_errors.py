@@ -41,6 +41,9 @@ def test_json_flag_is_gone(monkeypatch):
     (["extend", "step", "--kind", "smallint", "--iters", "351"], "step count 351 is above the limit 350"),
     (["suite", "lambda", "--len", "65"], "lambda prefix length 65 is above the limit 64"),
     (["classify", "trunc:2", "--seed", "5"], "unrecognized arguments: --seed 5"),
+    (["classify", "trunc:"], "couple 'trunc:' needs a whole-number bound after 'trunc:'"),
+    (["classify", "trunc:1.5"], "couple 'trunc:1.5' needs a whole-number bound after 'trunc:'"),
+    (["classify", "trunc:x"], "couple 'trunc:x' needs a whole-number bound after 'trunc:'"),
 ])
 def test_usage_errors_are_json(capsys, monkeypatch, argv, needle):
     monkeypatch.delenv("ACLAB_SEED", raising=False)

@@ -424,7 +424,7 @@ def _distinct_monomials(count: int, index: int = 9) -> list[Monomial]:
     return [Monomial(unit(index).scale(Fraction(k + 1, 7919))) for k in range(count)]
 
 
-def _products_and_derivatives(seed: int, cases: int) -> list[str]:
+def _leibniz_texts(seed: int, cases: int) -> list[str]:
     rng = random.Random(seed)
     out = []
     for _ in range(cases):
@@ -435,7 +435,7 @@ def _products_and_derivatives(seed: int, cases: int) -> list[str]:
 
 class TestHashConsing:
     def test_equal_monomials_are_one_instance_below_the_cap(self):
-        logts._clear_tables()
+        logts._interned.clear()
         a = Monomial(V("[1, -2]"))
         assert Monomial(V("[1, -2]")) is a
         b = Monomial(V("[0, 1/2, 3]"))
@@ -443,7 +443,7 @@ class TestHashConsing:
         assert a * b is Monomial(V("[1, -3/2, 3]"))
 
     def test_equal_across_a_clear(self):
-        logts._clear_tables()
+        logts._interned.clear()
         before = Monomial(V("[3, 1/2]"))
         rng = random.Random(5)
         left, right = random_series(rng, max_terms=4), random_series(rng, max_terms=4)
@@ -470,28 +470,15 @@ class TestHashConsing:
         for a in pool:
             for b in pool:
                 a * b
-                assert len(logts._products) <= logts.PRODUCT_CAP
                 assert len(logts._interned) <= logts.INTERN_CAP
 
     def test_tiny_caps_change_no_result(self, monkeypatch):
-        expected = _products_and_derivatives(seed=13, cases=40)
+        expected = _leibniz_texts(seed=13, cases=40)
         monkeypatch.setattr(logts, "INTERN_CAP", 8)
-        monkeypatch.setattr(logts, "PRODUCT_CAP", 16)
-        logts._clear_tables()
-        got = _products_and_derivatives(seed=13, cases=40)
-        assert len(logts._interned) <= 8 and len(logts._products) <= 16
+        logts._interned.clear()
+        got = _leibniz_texts(seed=13, cases=40)
+        assert len(logts._interned) <= 8
         assert got == expected
-
-    def test_a_full_product_memo_keeps_the_interned_monomials(self, monkeypatch):
-        monkeypatch.setattr(logts, "PRODUCT_CAP", 4)
-        logts._clear_tables()
-        pool = _distinct_monomials(4, index=6)
-        for a in pool:
-            for b in pool:
-                a * b
-        assert len(logts._products) <= 4
-        rebuilt = _distinct_monomials(4, index=6)
-        assert all(m is n for m, n in zip(rebuilt, pool))
 
     @given(monomials(), monomials())
     def test_product_is_the_monomial_of_the_summed_exponents(self, a, b):
@@ -503,38 +490,40 @@ class TestHashConsing:
 
 
 @pytest.fixture
-def fresh_tables(monkeypatch):
-    """Monomial tables as at import: the intern table holds only
-    ``Monomial.ONE`` and the product memo is empty."""
+def fresh_table(monkeypatch):
+    """The intern table as at import: it holds only ``Monomial.ONE``."""
     monkeypatch.setattr(logts, "_interned", {(): Monomial.ONE})
-    monkeypatch.setattr(logts, "_products", {})
 
 
 class TestFreshMonomials:
-    def test_a_unit_factor_returns_the_other_factor_and_adds_no_memo_entry(self, fresh_tables):
-        for m in (Monomial(V("[1, -2]")), Monomial(V("[0, 1/2, 3]")), Monomial.ONE):
+    def test_a_unit_factor_returns_the_other_factor_and_builds_nothing(self, fresh_table, monkeypatch):
+        monos = (Monomial(V("[1, -2]")), Monomial(V("[0, 1/2, 3]")), Monomial.ONE)
+        interned = dict(logts._interned)
+        merged = []
+        monkeypatch.setattr(logts, "_merge", lambda *args: merged.append(args))
+        for m in monos:
             assert m * Monomial.ONE is m and Monomial.ONE * m is m
-        assert logts._products == {}
+        assert merged == [] and logts._interned == interned
 
-    def test_a_product_that_cancels_is_the_monomial_one(self, fresh_tables):
+    def test_a_product_that_cancels_is_the_monomial_one(self, fresh_table):
         x = Monomial(unit(0))
         assert x * x.inv() is Monomial.ONE and x.inv() * x is Monomial.ONE
 
-    def test_an_interned_product_builds_no_exponent_vector(self, fresh_tables, monkeypatch):
+    def test_an_interned_product_builds_no_exponent_vector(self, fresh_table, monkeypatch):
         a, b = Monomial(V("[1, 1/2]")), Monomial(V("[0, -1, 3]"))
         interned = Monomial(V("[1, -1/2, 3]"))
         built = []
         from_items = logts._from_items
         for module in (logts, ogroup):
             monkeypatch.setattr(module, "_from_items", lambda items: built.append(items) or from_items(items))
-        assert a * b is interned and built == []
-        assert (id(a), id(b)) in logts._products
+        size = len(logts._interned)
+        assert a * b is interned and built == [] and len(logts._interned) == size
         fresh = interned * b
         assert built == [fresh.exponents.key] and fresh is Monomial(V("[1, -3/2, 6]"))
         assert hash(fresh) == hash(("mono", fresh.exponents))
 
 
-    def test_a_shift_by_the_monomial_one_makes_no_monomial_product(self, fresh_tables, monkeypatch):
+    def test_a_shift_by_the_monomial_one_makes_no_monomial_product(self, fresh_table, monkeypatch):
         s = Series([(Monomial(V("[1, -2]")), 3), (Monomial(V("[0, 1/2]")), Fraction(-1, 2)), (Monomial.ONE, 5)])
         three = Series.from_rat(3)
         calls = []
@@ -631,7 +620,7 @@ class TestUnitFactor:
                 assert s * Series.ONE is s and Series.ONE * s is s
 
     def test_unit_built_after_a_clear_is_a_unit(self):
-        logts._clear_tables()
+        logts._interned.clear()
         s = random_series(random.Random(31), max_terms=4)
         _distinct_monomials(logts.INTERN_CAP + 1)
         unit_again = Series.monomial(Monomial(GroupElem.ZERO))
@@ -676,8 +665,7 @@ class TestDerivativeSlot:
 
     def test_slot_across_a_clear_with_tiny_caps(self, monkeypatch):
         monkeypatch.setattr(logts, "INTERN_CAP", 8)
-        monkeypatch.setattr(logts, "PRODUCT_CAP", 16)
-        logts._clear_tables()
+        logts._interned.clear()
         samples = _unit_samples(seed=53, count=80)
         firsts = [s.derivative() for s in samples]
         _distinct_monomials(9)
@@ -686,7 +674,7 @@ class TestDerivativeSlot:
             assert again is first
             assert _key_terms(again) == _reference_derivative(s)
             assert s.derivative() == Series(s.terms).derivative()
-        assert len(logts._interned) <= 8 and len(logts._products) <= 16
+        assert len(logts._interned) <= 8
 
 
 class TestFracMemo:
@@ -716,6 +704,61 @@ class TestFracMemo:
         for name in ("num", "_deriv", "_inv"):
             with pytest.raises(AttributeError):
                 setattr(f, name, None)
+
+
+def _form(f: Frac) -> tuple:
+    """What a normal form prints and stores: text, numerator, factors."""
+    return str(f), f.num, f._factors
+
+
+def _several_factors(rng: random.Random, count: int) -> list[Frac]:
+    """Elements whose denominators hold two or more distinct factors, one of
+    them with multiplicity two."""
+    out = []
+    while len(out) < count:
+        f = Frac(random_series(rng, max_terms=2), random_series(rng, max_terms=2))
+        g = Frac(random_series(rng, max_terms=1), random_series(rng, max_terms=2))
+        h = f * g * Frac(Series.ONE, f.den)
+        if len(h._factors) >= 2:
+            out.append(h)
+    return out
+
+
+class TestFracNormalForm:
+    def test_a_power_is_the_left_fold_of_its_base(self):
+        rng = random.Random(97)
+        elems = [random_frac(rng, allow_zero=True) for _ in range(40)] + _several_factors(rng, 12)
+        assert any(f.is_zero() for f in elems) and any(f._factors for f in elems[:40])
+        assert all(len(f._factors) >= 2 and max(k for _, k in f._factors) == 2 for f in elems[40:])
+        for f in elems:
+            for k in range(-3, 7):
+                if k < 0 and f.is_zero():
+                    continue
+                base = f.inv() if k < 0 else f
+                folded = Frac.ONE
+                for _ in range(abs(k)):
+                    folded = folded * base
+                assert _form(f ** k) == _form(folded), (str(f), k)
+
+    def test_n_over_n_is_one(self):
+        n = Series([(Monomial(V("[1, -2]")), 3), (Monomial.ONE, Fraction(-1, 2))])
+        x = Series.monomial(Monomial(unit(0)))
+        for s in (n, n.scale(3), n * x, Series.ONE + x):
+            assert _form(Frac(s, s)) == ("1", Series.ONE, ())
+            assert Frac(s, s).den == Series.ONE
+
+    def test_zero_over_anything_has_no_factors(self):
+        d = Series.ONE + Series.monomial(Monomial(V("[-1]")), 2)
+        for den in (d, d.scale(Fraction(-3, 4)), Series.from_rat(5), Series.monomial(Monomial(unit(1)), 7)):
+            assert _form(Frac(Series.ZERO, den)) == ("0", Series.ZERO, ())
+            assert Frac(Series.ZERO, den).den == Series.ONE
+
+    def test_a_constant_denominator_scales_the_numerator(self):
+        n = Series([(Monomial(V("[1, -2]")), 3), (Monomial(V("[0, 1/2]")), Fraction(-1, 2))])
+        for c in (Fraction(3), Fraction(-1), Fraction(2, 5)):
+            f = Frac(n, Series.from_rat(c))
+            assert _form(f) == (str(n.scale(1 / c)), n.scale(1 / c), ())
+            assert f.den == Series.ONE
 
 
 class TestOperandTypes:

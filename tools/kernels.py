@@ -13,17 +13,17 @@ Inputs are seeded and the same on every checkout.  Kernels:
   series_mul_unit       s * 1 on random series of up to 4 terms
   series_mul_general    s * t on random series of up to 4 terms, timed on
                         the batch's second pass, so that every term product
-                        is a hit in Monomial.__mul__'s memo (30 pairs, so
-                        that both monomial tables hold them)
-  monomial_mul_fresh    a * b whose product is in neither table
-  monomial_mul_memo     the same a * b again, a hit in Monomial.__mul__'s
-                        product memo
+                        finds its monomial in the intern table (30 pairs, so
+                        that the table holds them all)
+  monomial_mul_fresh    a * b whose product is not in the intern table
+  monomial_mul_interned the same a * b again, whose product the intern
+                        table holds
   derivative_first      s.derivative() on a series not differentiated yet
   derivative_repeat     the same call again on the same series
   frac_eq_cross         f == g for f (up to 8 numerator and 4 denominator
                         terms) against itself over another denominator,
-                        tables cleared before the inputs are built (30
-                        pairs; two thirds form 24 term pairs or more)
+                        intern table cleared before the inputs are built
+                        (30 pairs; two thirds form 24 term pairs or more)
   frac_eq_small         the same with up to 2 numerator and 2 denominator
                         terms, at most 16 term pairs: the cross kernel
                         packs the monomials of small calls too
@@ -31,8 +31,8 @@ Inputs are seeded and the same on every checkout.  Kernels:
                         another denominator (30 pairs, built as above)
   frac_leibniz          the Leibniz line of check_axioms, (f*g)' != f'*g +
                         f*g', on seeded f and g that both have denominators
-                        (30 pairs, fresh elements per repeat, tables cleared
-                        before they are built)
+                        (30 pairs, fresh elements per repeat, intern table
+                        cleared before they are built)
   frac_add_shared       f*h + g*h for seeded f, g and h, h with a
                         denominator (30 triples, built as above)
   kaplansky_check       pcseq.kaplansky_check on the quotient-limit pair
@@ -47,8 +47,8 @@ Inputs are seeded and the same on every checkout.  Kernels:
   frac_inverse_derivative
                         f.inv().derivative() twice on each seeded f with
                         v(f) < 0, as check_axioms' small and bounded lines
-                        do (fresh elements per repeat, tables cleared
-                        before they are built)
+                        do (fresh elements per repeat, intern table
+                        cleared before they are built)
   sample_elem           acouple.sample_elem(rng) at its defaults
   vector_add            a + b on sampled vectors (GroupElem.__add__ over
                         ogroup._merge)
@@ -138,7 +138,7 @@ def _series_mul_unit(logts, rep: int) -> float:
 
 
 def _series_mul_general(logts, rep: int) -> float:
-    logts._clear_tables()
+    logts._interned.clear()
     left = _series_batch(logts, rep, GENERAL_BATCH)
     right = _series_batch(logts, rep + 10_000, GENERAL_BATCH)
     ops = [lambda s=s, t=t: s * t for s, t in zip(left, right)]
@@ -147,9 +147,10 @@ def _series_mul_general(logts, rep: int) -> float:
 
 
 def _monomial_pairs(logts, rep: int) -> list:
-    """Factor pairs with exponents no other kernel builds, in empty tables."""
+    """Factor pairs with exponents no other kernel builds, in an empty intern
+    table."""
     from aclab.ogroup import GroupElem
-    logts._clear_tables()
+    logts._interned.clear()
     pairs = []
     for k in range(BATCH):
         a = logts.Monomial(GroupElem([(0, 1), (5, Fraction(rep * BATCH + k + 1, 104729))]))
@@ -162,7 +163,7 @@ def _monomial_mul_fresh(logts, rep: int) -> float:
     return _timed([lambda a=a, b=b: a * b for a, b in _monomial_pairs(logts, rep)])
 
 
-def _monomial_mul_memo(logts, rep: int) -> float:
+def _monomial_mul_interned(logts, rep: int) -> float:
     ops = [lambda a=a, b=b: a * b for a, b in _monomial_pairs(logts, rep)]
     _timed(ops)
     return _timed(ops)
@@ -186,7 +187,7 @@ def _cross_pairs(logts, rep: int, perturb: bool, num_terms: int = 8, den_terms: 
     """f and f (plus a term below its leading one, when perturb) over
     another denominator: equal leading terms, unequal denominators."""
     from aclab.ogroup import GroupElem
-    logts._clear_tables()
+    logts._interned.clear()
     rng = random.Random(rep)
     pairs = []
     for _ in range(GENERAL_BATCH):
@@ -215,8 +216,8 @@ def _vdiff_cross(logts, rep: int) -> float:
 
 
 def _quotients(logts, rep: int, count: int) -> list:
-    """Seeded elements that have denominators, in cleared tables."""
-    logts._clear_tables()
+    """Seeded elements that have denominators, in a cleared intern table."""
+    logts._interned.clear()
     rng = random.Random(rep)
     out = []
     while len(out) < count:
@@ -263,7 +264,7 @@ def _equivalent_lambda(pcseq, rep: int) -> float:
 
 
 def _frac_inverse_derivative(logts, rep: int) -> float:
-    logts._clear_tables()
+    logts._interned.clear()
     rng = random.Random(rep)
     large = []
     while len(large) < GENERAL_BATCH:
@@ -338,8 +339,9 @@ def _extend_chain(extend, rep: int) -> float:
 
 def _jammed_recheck(cli, rep: int) -> float:
     from aclab import setprops
+    from aclab.ogroup import GroupElem
     pairs = []
-    for desc in (setprops.LessThan(cli.parse_vector("[1, -2, 1/2]")), cli._CLOSED_SMALL):
+    for desc in (setprops.LessThan(GroupElem.parse("[1, -2, 1/2]")), cli._CLOSED_SMALL):
         pairs.append((desc, setprops.is_jammed(desc)))
     return _timed([lambda d=d, v=v: setprops.recheck_jammed(d, v) for d, v in pairs] * (BATCH // 2))
 
@@ -397,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         "series_mul_unit": (logts, _series_mul_unit),
         "series_mul_general": (logts, _series_mul_general),
         "monomial_mul_fresh": (logts, _monomial_mul_fresh),
-        "monomial_mul_memo": (logts, _monomial_mul_memo),
+        "monomial_mul_interned": (logts, _monomial_mul_interned),
         "derivative_first": (logts, _derivative_first),
         "derivative_repeat": (logts, _derivative_repeat),
         "frac_eq_cross": (logts, _frac_eq_cross),
