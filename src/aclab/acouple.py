@@ -156,11 +156,11 @@ class CoupleDescriptor(Record):
         if name == "loggap":
             return cls("loggap")
         if name.startswith("trunc:"):
-            try:
-                bound = int(name[len("trunc:"):])
-            except ValueError:
-                raise ValueError(f"couple {text!r} needs a whole-number bound after 'trunc:'") from None
-            return cls("trunc", bound)
+            # ASCII digits only: int() would also read "1_0", "+3" and "٣".
+            bound = name[len("trunc:"):]
+            if not (bound.isascii() and bound.isdigit()):
+                raise ValueError(f"couple {text!r} needs a whole-number bound after 'trunc:'")
+            return cls("trunc", int(bound))
         raise ValueError(f"unknown couple name {text!r}")
 
     def __str__(self) -> str:

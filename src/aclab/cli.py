@@ -2,6 +2,25 @@
 lambda terms, couple classification, set-property queries, extension
 chains, and the verification suites, all reporting JSON.
 
+``val``, ``psi`` and the valuations and dominance of ``cmp`` need only the
+leading term of an expression, and ``lead`` computes it over the AST
+without expanding the rest (van der Hoeven, "Relax, but don't be too
+lazy", JSC 34, 2002):
+
+* products, quotients and integer powers multiply the leading terms;
+* a sum keeps the dominant leading term, and adds the coefficients when
+  the monomials tie;
+* ``D(a)``, with a leading with c*m for a monomial m != 1 whose first
+  index is k, leads with c*r_k * m/(l0*...*lk), r_k being m's exponent of
+  lk: that is the leading term of c*m', and no other term of a can
+  overtake it, since v(b') = v(b) + psi(v(b)) for v(b) != 0 and
+  gamma -> gamma + psi(gamma) is strictly increasing on nonzero gamma.
+
+Three cases fall back to the exact ``evaluate`` of the subtree: a sum
+whose leading coefficients cancel, ``D`` of an element that leads with a
+constant, and a rational power.  ``cmp`` reports unequal sides when their
+leading terms differ, and compares exactly only when they tie.
+
 Exit codes: 0 success, 1 failing suite or internal delegate error,
 2 usage, syntax, or semantic input error.
 """
@@ -27,8 +46,8 @@ from .acouple import (
     psi,
     verify_couple_axioms,
 )
-from .logts import Frac, Monomial, Series, check_axioms, dominance, ell
-from .ogroup import GroupElem, vector_json
+from .logts import Frac, Monomial, Series, check_axioms, check_power, ell, value_dominance
+from .ogroup import INFINITY, GammaInf, GroupElem, cmp, ones, unit, vector_json
 from .record import Record, setfield
 
 DEFAULT_SEED = 17
@@ -329,37 +348,7 @@ def parse(text: str) -> Ast:
 
 
 # ---------------------------------------------------------------------------
-# Printing and evaluation.
-
-_PREC = {Add: 1, Sub: 1, Neg: 1, Mul: 2, Div: 2, Pow: 3, Num: 4, Gen: 4, Der: 4}
-
-
-def print_ast(node: Ast) -> str:
-    return _print(node, 0)
-
-
-def _print(node: Ast, parent_prec: int) -> str:
-    prec = _PREC[type(node)]
-    if isinstance(node, Num):
-        text = str(node.value)
-    elif isinstance(node, Gen):
-        text = "x" if node.index == 0 else f"l{node.index}"
-    elif isinstance(node, Der):
-        text = f"D({_print(node.a, 0)})"
-    elif isinstance(node, Neg):
-        text = f"-{_print(node.a, 2)}"
-    elif isinstance(node, Pow):
-        exp = node.exp
-        etext = f"^{exp}" if exp.denominator == 1 and exp >= 0 else f"^({exp})"
-        text = f"{_print(node.base, 4)}{etext}"
-    elif isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        text = f"{_print(node.a, 1)} {op} {_print(node.b, 2)}"
-    else:
-        op = "*" if isinstance(node, Mul) else "/"
-        text = f"{_print(node.a, 2)}{op}{_print(node.b, 3)}"
-    return f"({text})" if prec < parent_prec else text
-
+# Evaluation, exact and of the leading term alone.
 
 def evaluate(node: Ast) -> Frac:
     if isinstance(node, Num):
@@ -398,6 +387,79 @@ def _as_pure_monomial(f: Frac) -> Optional[Monomial]:
         return None
     mono, coeff = f.num.leading()
     return mono if coeff == 1 else None
+
+
+# A leading term: the exponent vector of its monomial and its coefficient;
+# None stands for zero.
+Lead = Optional[tuple[GroupElem, Fraction]]
+_ONE = Fraction(1)
+
+
+def lead(node: Ast) -> Lead:
+    """The leading term of ``evaluate(node)``, mostly without expanding it:
+    see the module docstring for the rules.  Children are visited in
+    ``evaluate``'s order, so both raise the same input error first."""
+    if isinstance(node, Num):
+        return (GroupElem.ZERO, node.value) if node.value else None
+    if isinstance(node, Gen):
+        return unit(node.index), _ONE
+    if isinstance(node, Neg):
+        a = lead(node.a)
+        return None if a is None else (a[0], -a[1])
+    if isinstance(node, (Add, Sub)):
+        a, b = lead(node.a), lead(node.b)
+        if b is not None and isinstance(node, Sub):
+            b = (b[0], -b[1])
+        if a is None or b is None:
+            return b if a is None else a
+        order = cmp(a[0], b[0])
+        if order:
+            return a if order > 0 else b
+        coeff = a[1] + b[1]
+        return (a[0], coeff) if coeff else _exact_lead(node)
+    if isinstance(node, Mul):
+        a, b = lead(node.a), lead(node.b)
+        return None if a is None or b is None else (a[0] + b[0], a[1] * b[1])
+    if isinstance(node, Div):
+        b = lead(node.b)
+        if b is None:
+            raise ExprSemanticError("division by zero")
+        a = lead(node.a)
+        return None if a is None else (a[0] - b[0], a[1] / b[1])
+    if isinstance(node, Der):
+        a = lead(node.a)
+        if a is None:
+            return None
+        exps, coeff = a
+        if exps.is_zero():
+            return _exact_lead(node)
+        return exps - ones(exps.first_index() + 1), coeff * exps.leading_coeff()
+    if isinstance(node, Pow):
+        if node.exp.denominator != 1:
+            return _exact_lead(node)
+        power = int(node.exp)
+        a = lead(node.base)
+        if a is None:
+            if power < 0:
+                raise ZeroDivisionError("inverse of the zero element")
+            return None if power else (GroupElem.ZERO, _ONE)
+        exps, coeff = a
+        if abs(power) > 1:
+            check_power(abs(power), (max(abs(coeff.numerator), coeff.denominator) - 1).bit_length())
+        return exps.scale(power), coeff ** power
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _exact_lead(node: Ast) -> Lead:
+    f = evaluate(node)
+    if f.is_zero():
+        return None
+    mono, coeff = f.num.leading()
+    return mono.exponents, coeff
+
+
+def _valuation(term: Lead) -> GammaInf:
+    return INFINITY if term is None else -term[0]
 
 
 def random_expression(rng: random.Random, depth: int = 3) -> Ast:
@@ -540,14 +602,12 @@ def _emit(payload: dict, pretty: bool) -> None:
 
 
 def _cmd_val(args: argparse.Namespace) -> int:
-    f = evaluate(parse(args.expr))
-    _emit({"valuation": f.valuation()}, args.pretty)
+    _emit({"valuation": _valuation(lead(parse(args.expr)))}, args.pretty)
     return 0
 
 
 def _cmd_psi(args: argparse.Namespace) -> int:
-    f = evaluate(parse(args.expr))
-    v = f.valuation()
+    v = _valuation(lead(parse(args.expr)))
     if not isinstance(v, GroupElem) or v.is_zero():
         raise ExprSemanticError("psi needs an element with nonzero finite valuation")
     _emit({"psi": psi(v)}, args.pretty)
@@ -555,13 +615,18 @@ def _cmd_psi(args: argparse.Namespace) -> int:
 
 
 def _cmd_cmp(args: argparse.Namespace) -> int:
-    f = evaluate(parse(args.left))
-    g = evaluate(parse(args.right))
+    left = parse(args.left)
+    f = lead(left)
+    right = parse(args.right)
+    g = lead(right)
+    vf, vg = _valuation(f), _valuation(g)
     _emit({
-        "left": f.valuation(),
-        "right": g.valuation(),
-        "dominance": dominance(f, g).value,
-        "equal": f == g,
+        "left": vf,
+        "right": vg,
+        "dominance": value_dominance(vf, vg).value,
+        # Different leading terms make different elements; only a tie
+        # needs the exact comparison.
+        "equal": f == g and evaluate(left) == evaluate(right),
     }, args.pretty)
     return 0
 

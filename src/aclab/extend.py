@@ -42,7 +42,7 @@ from functools import cache
 from typing import Optional
 
 from .acouple import Report, integrate, successor
-from .logts import Frac, Monomial, Series, ell, vdiff, x_elem
+from .logts import Frac, Monomial, Series, ell, x_elem
 from .ogroup import GroupElem, unit, vector_json
 from .record import Record
 
@@ -153,10 +153,6 @@ def _realized(h: Frac) -> GroupElem:
     if not isinstance(v, GroupElem):
         raise ValueError("witness integrates s exactly; scenario certificate violated")
     return v
-
-
-def initial_witness(sc: ExtScenario) -> Witness:
-    return _seed(sc)[0]
 
 
 def _seed(sc: ExtScenario) -> tuple[Witness, Frac]:
@@ -290,17 +286,6 @@ def _witness_below(sc: ExtScenario, w: Witness, gamma: GroupElem) -> Witness:
     if got != gamma:
         raise ValueError(f"witness construction realized {got}, wanted {gamma}")
     return Witness(eps, got)
-
-
-def big_form_value(sc: ExtScenario, eps: Frac) -> GroupElem:
-    """v((g(1+eps))' - s) for the big-integral comparison form."""
-    if sc.kind != BIG_INT:
-        raise ValueError("comparison form only exists for big-integral scenarios")
-    _require_small(eps)
-    v = vdiff((sc.g * (Frac.ONE + eps)).derivative(), sc.s)[0]
-    if not isinstance(v, GroupElem):
-        raise ValueError("comparison form integrated s exactly")
-    return v
 
 
 # ---------------------------------------------------------------------------

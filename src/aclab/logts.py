@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
 
-from .acouple import Report, integrate, psi
+from .acouple import Report, psi
 from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, _from_items, _int_pair, _merge, as_rat, cmp, ones, unit
 from .record import Record
 
@@ -82,12 +82,9 @@ class Monomial:
     def __hash__(self) -> int:
         return self._hash
 
-    def derivative_terms(self) -> tuple[tuple["Monomial", Fraction], ...]:
-        """The finitely many terms of m': coefficient r_i on m * (l0...li)^-1."""
-        return tuple((m, Fraction(n, d)) for m, n, d in self._derivative_triples())
-
     def _derivative_triples(self) -> tuple[tuple["Monomial", int, int], ...]:
-        """``derivative_terms`` with each r_i as its (numerator, denominator)."""
+        """The finitely many terms of m': r_i, as (numerator, denominator),
+        on m * (l0...li)^-1."""
         terms = self._derivative
         if terms is None:
             exps = self.exponents
@@ -419,6 +416,17 @@ def _coeff_bits(f: "Frac") -> int:
         for s in (f.num, f.den))
 
 
+def check_power(power: int, bits: int) -> None:
+    """Refuse a power ``power`` of an element whose integers grow by up to
+    ``bits`` bits per copy (``_coeff_bits``, or the size of a lone
+    coefficient): its coefficients would have up to power * bits bits."""
+    bits *= power
+    if bits > MAX_COEFF_BITS:
+        raise BudgetExceeded(
+            f"a power {power} would form coefficients of up to {bits} bits, "
+            f"above the budget of {MAX_COEFF_BITS} bits")
+
+
 # A denominator as (factor, multiplicity) pairs; see Frac.
 Factors = tuple[tuple[Series, int], ...]
 
@@ -533,11 +541,8 @@ class Frac:
     def __pow__(self, power: int) -> "Frac":
         if power < 0:
             return self.inv() ** (-power)
-        bits = power * _coeff_bits(self) if power > 1 else 0
-        if bits > MAX_COEFF_BITS:
-            raise BudgetExceeded(
-                f"a power {power} would form coefficients of up to {bits} bits, "
-                f"above the budget of {MAX_COEFF_BITS} bits")
+        if power > 1:
+            check_power(power, _coeff_bits(self))
         factors = tuple((s, k * power) for s, k in self._factors) if power else ()
         return _frac(_expand(((self.num, power),)), factors)
 
@@ -696,7 +701,11 @@ Frac.ONE = Frac(Series.ONE)
 
 def dominance(f: Frac, g: Frac) -> Dominance:
     """Trichotomy by valuation: smaller valuation dominates."""
-    vf, vg = f.valuation(), g.valuation()
+    return value_dominance(f.valuation(), g.valuation())
+
+
+def value_dominance(vf: GammaInf, vg: GammaInf) -> Dominance:
+    """The trichotomy of two elements with valuations vf and vg."""
     if vf > vg:
         return Dominance.STRICTLY_DOMINATED
     if vf < vg:
@@ -850,15 +859,6 @@ def residue(f: Frac) -> Fraction:
     if v > GroupElem.ZERO:
         return Fraction(0)
     return f.leading_coeff()
-
-
-def is_in_I(f: Frac) -> bool:
-    """Membership in the set of elements dominated by some derivative of a
-    bounded element: zero, or valuation with strictly positive integral."""
-    if f.is_zero():
-        return True
-    v = f.valuation()
-    return integrate(v) > GroupElem.ZERO
 
 
 # Exponents as (numerator, denominator) pairs in lowest terms.

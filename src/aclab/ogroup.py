@@ -20,7 +20,7 @@ through their padded, eventually constant coordinate sequences; this
 places ``delta`` above every finite prefix ``e_0 + ... + e_n`` but below
 anything with a head start at an earlier coordinate.  q is stored like a
 coefficient, as a lowest-terms int pair, and read as a ``Fraction``
-through ``dq`` and ``padded``.
+through ``dq``.
 
 Valuations take values in Gamma with a top point ``INFINITY`` adjoined,
 the value of zero, and ``vector_json`` prints it as ``"infinity"``.
@@ -108,10 +108,6 @@ class GroupElem:
     def key(self) -> Triples:
         """The stored (index, numerator, denominator) triples."""
         return self._items
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _, _ in self._items)
 
     def coeff(self, index: int) -> Fraction:
         for i, n, d in self._items:
@@ -404,9 +400,6 @@ class ExtElem:
     @property
     def dq(self) -> Fraction:
         return Fraction(self._qn, self._qd)
-
-    def padded(self, index: int) -> Fraction:
-        return self._base.coeff(index) + self.dq
 
     def is_zero(self) -> bool:
         return not self._qn and not self._base._items

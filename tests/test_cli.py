@@ -21,12 +21,12 @@ from aclab.cli import (
     main,
     parse,
     parse_descriptor,
-    print_ast,
     random_expression,
 )
 from aclab.logts import ell, x_elem
 from aclab.ogroup import GroupElem, ones
 from aclab.setprops import PSI_DOWN, LessThan, member
+from helpers import print_ast
 
 V = GroupElem.parse
 

@@ -44,6 +44,8 @@ def test_json_flag_is_gone(monkeypatch):
     (["classify", "trunc:"], "couple 'trunc:' needs a whole-number bound after 'trunc:'"),
     (["classify", "trunc:1.5"], "couple 'trunc:1.5' needs a whole-number bound after 'trunc:'"),
     (["classify", "trunc:x"], "couple 'trunc:x' needs a whole-number bound after 'trunc:'"),
+    (["classify", "trunc:1_0"], "couple 'trunc:1_0' needs a whole-number bound after 'trunc:'"),
+    (["classify", "trunc:+3"], "couple 'trunc:+3' needs a whole-number bound after 'trunc:'"),
 ])
 def test_usage_errors_are_json(capsys, monkeypatch, argv, needle):
     monkeypatch.delenv("ACLAB_SEED", raising=False)
@@ -121,14 +123,37 @@ def test_deep_or_long_expression_is_a_json_syntax_error(capsys, monkeypatch, exp
 
 
 def test_power_over_the_term_pair_budget_is_a_json_error(capsys, monkeypatch):
+    # The leading terms tie, so cmp expands both sides for the exact
+    # comparison; val reads the leading term alone and answers.
     monkeypatch.delenv("ACLAB_SEED", raising=False)
-    code = main(["val", "--", "(x+l1+1)^200"])
+    code = main(["cmp", "--", "(x+l1+1)^200", "(x+l1+1)^200"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out.count("\n") == 1
     assert json.loads(captured.out) == {
         "error": f"a product of 561 by 561 terms is above the budget of {logts.MAX_TERM_PAIRS} term pairs"}
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("expr, valuation", [
+    ("(x+l1+1)^200", [-200]),
+    ("(x+l1+l2+l3+1)^20", [-20]),
+    ("D(D(l600))", [2] + [1] * 599),
+])
+def test_valuation_reads_the_leading_term_without_expanding(capsys, monkeypatch, expr, valuation):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    start = time.perf_counter()
+    code = main(["val", "--", expr])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"valuation": valuation}
+    assert elapsed < 0.1
+
+
+def test_cmp_finishes_the_left_side_before_parsing_the_right(capsys, monkeypatch):
+    monkeypatch.delenv("ACLAB_SEED", raising=False)
+    assert main(["cmp", "--", "1/0", "x ^"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "division by zero"}
 
 
 @pytest.mark.parametrize("expr, power", [("(3/4)^1000000", 1000000), ("((3/4)^1000)^1000", 1000)])

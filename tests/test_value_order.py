@@ -49,7 +49,7 @@ def test_min_is_the_reference_min(a, b):
 
 
 def padded(x, i):
-    return x.padded(i) if isinstance(x, ExtElem) else x.coeff(i)
+    return x.base.coeff(i) + x.dq if isinstance(x, ExtElem) else x.coeff(i)
 
 
 def reference_padded_cmp(x, y):
@@ -68,7 +68,7 @@ def test_mixed_order_agrees_with_padded_sequences(a, e):
         r = reference_padded_cmp(x, y)
         assert (x < y, x <= y, x > y, x >= y) == (r < 0, r <= 0, r > 0, r >= 0)
         assert (x == y) == (r == 0)
-    entries = [e.padded(i) for i in range(e.base.max_index() + 2)]
+    entries = [padded(e, i) for i in range(e.base.max_index() + 2)]
     lead = next((i for i, c in enumerate(entries) if c), None)
     if lead is None:
         assert e.sign() == 0

@@ -63,6 +63,13 @@ Inputs are seeded and the same on every checkout.  Kernels:
                         half of them off the base group
   cli_val               cli.main(["val", "--", "x+1"]) in process, stdout
                         captured, after one warm-up: parser, parse, output
+  cli_val_power         cli.main(["val", "--", "(x+l1+1)^60"]), the same way,
+                        one request per batch: a valuation whose expansion
+                        forms tens of thousands of term pairs
+  cli_cmp               cli.main(["cmp", "--", CMP_LEFT, CMP_RIGHT]), the
+                        same way: two sums whose leading terms differ
+  cli_cmp_equal         cli.main(["cmp", "--", "(A)*(B)", "(B)*(A)"]), the
+                        same way: equal products, compared exactly
   cli_classify          cli.main(["classify", "trunc:3"]), the same way
   cli_set               cli.main(["set", "(less [1])", "jammed"]), the same
                         way: the verdict and the check of its certificate
@@ -117,6 +124,9 @@ BATCH = 200
 GENERAL_BATCH = 30
 CHAIN_BATCH = 10
 CLI_EXTEND_BATCH = 20
+CLI_POWER_BATCH = 1
+CMP_LEFT, CMP_RIGHT = "3/4*x^2*l1 + l2 - 5", "x^2*l1^(1/2) - 2*l1"
+CMP_A, CMP_B = "x + 2*l1^(1/2)", "l2^-1 - 3"
 
 
 def _series_batch(logts, seed: int, count: int = BATCH) -> list:
@@ -421,6 +431,10 @@ def main(argv: list[str] | None = None) -> int:
         "couple_gap_chunk": (acouple, _couple_chunk("loggap")),
         "ext_order": (acouple, _ext_order),
         "cli_val": (cli, _cli_kernel(["val", "--", "x+1"])),
+        "cli_val_power": (cli, _cli_kernel(["val", "--", "(x+l1+1)^60"], CLI_POWER_BATCH)),
+        "cli_cmp": (cli, _cli_kernel(["cmp", "--", CMP_LEFT, CMP_RIGHT])),
+        "cli_cmp_equal": (cli, _cli_kernel(["cmp", "--", f"({CMP_A})*({CMP_B})",
+                                            f"({CMP_B})*({CMP_A})"])),
         "cli_classify": (cli, _cli_kernel(["classify", "trunc:3"])),
         "cli_set": (cli, _cli_kernel(["set", "(less [1])", "jammed"])),
         "cli_set_derived": (cli, _cli_kernel(["set", "(exts bigint)", "derived-yardstick"])),
@@ -444,7 +458,8 @@ def main(argv: list[str] | None = None) -> int:
                  "series_mul_general": GENERAL_BATCH, "frac_eq_cross": GENERAL_BATCH,
                  "frac_eq_small": GENERAL_BATCH, "vdiff_cross": GENERAL_BATCH,
                  "frac_leibniz": GENERAL_BATCH, "frac_add_shared": GENERAL_BATCH,
-                 "cli_extend": CLI_EXTEND_BATCH, "extend_chain": CHAIN_BATCH}.get(name, BATCH)
+                 "cli_extend": CLI_EXTEND_BATCH, "cli_val_power": CLI_POWER_BATCH,
+                 "extend_chain": CHAIN_BATCH}.get(name, BATCH)
         results[name] = {"ns_per_op": statistics.median(samples), "repeats": REPEATS,
                          "batch": batch}
         print(f"{name:23s} {results[name]['ns_per_op']:14,.0f} ns/op")
