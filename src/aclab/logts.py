@@ -24,7 +24,8 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from .acouple import Report, psi
-from .ogroup import INFINITY, GammaInf, GroupElem, RatLike, _from_items, _int_pair, _merge, as_rat, cmp, ones, unit
+from .ogroup import (INFINITY, GammaInf, GroupElem, RatLike, Triples, _from_items, _int_pair, _merge, as_rat, cmp,
+                     ones, rat_text, unit)
 from .record import Record
 
 
@@ -38,6 +39,9 @@ from .record import Record
 # factor; otherwise the summed exponent triples are looked up in ``_interned``,
 # and a ``GroupElem`` and a ``Monomial`` are built only for a new monomial.  No
 # comparison of field elements builds or interns a monomial (see ``_packing``).
+# Like ``_hash`` and ``_derivative``, a monomial keeps data derived from its
+# exponents: its printed text, in a ``_text`` slot left unset until the first
+# ``str``, so interning a monomial costs nothing more.
 INTERN_CAP = 1024
 
 # Keyed by GroupElem.key, which also serves the structural equality fallback.
@@ -47,7 +51,7 @@ _interned: dict[tuple[tuple[int, int, int], ...], "Monomial"] = {}
 class Monomial:
     """A single product of generator powers, keyed by its exponent vector."""
 
-    __slots__ = ("exponents", "_hash", "_derivative")
+    __slots__ = ("exponents", "_hash", "_derivative", "_text")
 
     ONE: "Monomial"
 
@@ -93,23 +97,11 @@ class Monomial:
         return terms
 
     def __str__(self) -> str:
-        if self.exponents.is_zero():
-            return "1"
-        items = self.exponents.items
-        exps = {c for _, c in items}
-        if len(items) > 1 and len(exps) == 1:
-            # Factored shorthand for equal powers: (x*l1*l2)^-1 instead of
-            # x^-1*l1^-1*l2^-1.
-            inner = "*".join(_gen_name(i) for i, _ in items)
-            (e,) = exps
-            if e == 1:
-                return inner
-            return f"({inner})^{_exp_text(e)}"
-        parts = []
-        for i, e in items:
-            name = _gen_name(i)
-            parts.append(name if e == 1 else f"{name}^{_exp_text(e)}")
-        return "*".join(parts)
+        text = getattr(self, "_text", None)
+        if text is None:
+            text = _monomial_text(self.exponents.key)
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 def _intern(exponents: GroupElem) -> Monomial:
@@ -130,14 +122,24 @@ def _intern(exponents: GroupElem) -> Monomial:
 Monomial.ONE = Monomial()
 
 
-def _gen_name(index: int) -> str:
-    return "x" if index == 0 else f"l{index}"
+def _monomial_text(key: Triples) -> str:
+    """The text of the monomial with exponent triples ``key``."""
+    if not key:
+        return "1"
+    names = ["x" if i == 0 else f"l{i}" for i, _, _ in key]
+    _, n, d = key[0]
+    if len(key) > 1 and all(t[1] == n and t[2] == d for t in key):
+        # Factored shorthand for equal powers: (x*l1*l2)^-1 instead of
+        # x^-1*l1^-1*l2^-1.
+        inner = "*".join(names)
+        return inner if n == d == 1 else f"({inner})^{_exp_text(n, d)}"
+    return "*".join(name if n == d == 1 else f"{name}^{_exp_text(n, d)}"
+                    for name, (_, n, d) in zip(names, key))
 
 
-def _exp_text(e: Fraction) -> str:
-    if e.denominator == 1:
-        return str(e)
-    return f"({e})"
+def _exp_text(n: int, d: int) -> str:
+    """An exponent after ``^``: a fraction goes in parentheses."""
+    return str(n) if d == 1 else f"({rat_text(n, d)})"
 
 
 class BudgetExceeded(ValueError):
@@ -164,8 +166,9 @@ class Series:
     A series stores integer numerators ``_nums`` over one common denominator
     ``_den``: ``_den > 0``, no numerator is zero, and ``gcd(_den, *nums) ==
     1``, so equal series store equal maps and denominators; the zero series
-    is ``({}, 1)``.  Arithmetic runs on ints, and ``Fraction`` appears only
-    at the API (``terms``, ``leading``, ``sorted_terms`` and the printers).
+    is ``({}, 1)``.  Arithmetic and printing run on ints, and ``Fraction``
+    appears only at the API (``terms``, ``leading`` and ``sorted_terms``):
+    the printer reduces each numerator over ``_den`` with one gcd.
     The leading term is the one of minimal valuation, i.e. maximal exponent
     vector, and is unique because the monomial order is total.  The leading
     term and the derivative are each computed once, on first use, and kept.
@@ -300,8 +303,11 @@ class Series:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in order of increasing valuation (decreasing magnitude)."""
         den = self._den
-        ordered = sorted(self._nums.items(), key=lambda kv: kv[0].exponents, reverse=True)
-        return [(m, Fraction(n, den)) for m, n in ordered]
+        return [(m, Fraction(n, den)) for m, n in self._ordered()]
+
+    def _ordered(self) -> list[tuple[Monomial, int]]:
+        """The stored (monomial, numerator) pairs, largest monomial first."""
+        return sorted(self._nums.items(), key=lambda kv: kv[0].exponents, reverse=True)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
@@ -314,18 +320,23 @@ class Series:
     def __str__(self) -> str:
         if not self._nums:
             return "0"
+        den = self._den
         parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
-            if mono.exponents.is_zero():
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
+        for mono, n in self._ordered():
+            # |n|/den in lowest terms.
+            a = abs(n)
+            g = gcd(a, den)
+            a, d = a // g, den // g
+            if not mono.exponents._items:
+                body = rat_text(a, d)
+            elif a == d == 1:
                 body = str(mono)
             else:
-                body = f"{abs(coeff)}*{mono}"
+                body = f"{rat_text(a, d)}*{mono}"
             if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -10,7 +10,8 @@ class is determined by the first nonzero index alone.
 A vector stores ``(index, numerator, denominator)`` integer triples sorted
 by index, none zero, each in lowest terms with a positive denominator, so
 equal vectors have equal triples and arithmetic runs on plain ints.
-``Fraction`` appears only at the API (``items``, ``coeff``, ``to_list``).
+``Fraction`` appears only at the API (``items``, ``coeff``, ``to_list``);
+the printers render the triples through ``rat_text``.
 Coefficients come in as ints, ``p/q`` strings or ``Fraction``; a float is
 a ``TypeError``.
 
@@ -57,6 +58,12 @@ def _int_pair(value: RatLike) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
+def rat_text(n: int, d: int) -> str:
+    """The text of n/d, given in lowest terms with d > 0, as ``str`` of the
+    equal ``Fraction`` gives it: ``n`` or ``n/d``."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 class GroupElem:
     """An exponent vector: sparse map from index to nonzero rational.
 
@@ -95,10 +102,7 @@ class GroupElem:
         inner = body[1:-1].strip()
         if not inner:
             return cls.ZERO
-        try:
-            return cls.from_list(Fraction(part.strip()) for part in inner.split(","))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in vector {text!r}") from None
+        return cls.from_list(_parse_coeff(part.strip(), text) for part in inner.split(","))
 
     @property
     def items(self) -> tuple[tuple[int, Fraction], ...]:
@@ -223,10 +227,20 @@ class GroupElem:
         return dense
 
     def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.to_list()) + "]"
+        return "[" + ", ".join(map(str, vector_json(self))) + "]"
 
     def __repr__(self) -> str:
         return f"GroupElem({str(self)})"
+
+
+def _parse_coeff(part: str, text: str) -> Fraction:
+    """One coefficient of the vector text ``text``."""
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in vector {text!r}") from None
+    except ValueError:
+        raise ValueError(f"coefficient {part!r} of vector {text!r} is not a rational number") from None
 
 
 def _from_items(items: Triples) -> GroupElem:
@@ -478,18 +492,15 @@ class ExtElem:
     def __ge__(self, other: object) -> bool:
         return self._order(other, ge)
 
-    def _q_text(self) -> str:
-        return str(self._qn) if self._qd == 1 else f"{self._qn}/{self._qd}"
-
     def __str__(self) -> str:
         if not self._qn:
             return str(self._base)
         if self._qn == self._qd == 1 and not self._base._items:
             return "delta"
-        return f"{self._base} + {self._q_text()}*delta"
+        return f"{self._base} + {rat_text(self._qn, self._qd)}*delta"
 
     def __repr__(self) -> str:
-        return f"ExtElem({self._base!r}, {self._q_text()})"
+        return f"ExtElem({self._base!r}, {rat_text(self._qn, self._qd)})"
 
 
 def _ext(base: GroupElem, qn: int, qd: int) -> ExtElem:
@@ -549,13 +560,12 @@ DELTA = _ext(GroupElem.ZERO, 1, 1)
 ExtLike = Union[GroupElem, ExtElem]
 
 
-def rat_json(q: Fraction) -> Union[int, str]:
-    """JSON-safe exact rational: a plain int when integral, else ``p/q``."""
-    return int(q) if q.denominator == 1 else str(q)
-
-
 def vector_json(g: GammaInf) -> Union[list[Union[int, str]], str]:
-    """Dense JSON form of a vector, exact coefficients throughout; "infinity" for INFINITY."""
+    """Dense JSON form of a vector, exact coefficients throughout: a plain
+    int when integral, else ``p/q``; "infinity" for INFINITY."""
     if g is INFINITY:
         return "infinity"
-    return [rat_json(c) for c in g.to_list()]
+    dense: list[Union[int, str]] = [0] * (g.max_index() + 1)
+    for i, n, d in g._items:
+        dense[i] = n if d == 1 else rat_text(n, d)
+    return dense

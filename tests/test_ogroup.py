@@ -13,7 +13,7 @@ from aclab.ogroup import (
     arch_cmp,
     cmp,
     ones,
-    rat_json,
+    rat_text,
     unit,
     vector_json,
 )
@@ -143,8 +143,9 @@ class TestParseFormat:
         assert rebuilt == a
 
     def test_rat_json_forms(self):
-        assert rat_json(Fraction(3)) == 3
-        assert rat_json(Fraction(-5, 2)) == "-5/2"
+        assert vector_json(GroupElem.from_list([3, Fraction(-5, 2)])) == [3, "-5/2"]
+        assert rat_text(3, 1) == "3"
+        assert rat_text(-5, 2) == "-5/2"
 
 
 class TestOnesAndUnits:

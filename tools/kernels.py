@@ -49,7 +49,13 @@ Inputs are seeded and the same on every checkout.  Kernels:
                         v(f) < 0, as check_axioms' small and bounded lines
                         do (fresh elements per repeat, intern table
                         cleared before they are built)
+  print_lambda_warm     str(pcseq.lambda_term(n)) for n = 0..24, terms taken
+                        from the cache and printed once before the batch
+  print_lambda_cold     the same on terms rebuilt after
+                        pcseq.lambda_term.cache_clear() and an emptied
+                        intern table (untimed), so no monomial holds its text
   sample_elem           acouple.sample_elem(rng) at its defaults
+  vector_json           ogroup.vector_json(g) on sampled vectors
   vector_add            a + b on sampled vectors (GroupElem.__add__ over
                         ogroup._merge)
   integrate             acouple.integrate(g) on sampled vectors
@@ -284,6 +290,23 @@ def _frac_inverse_derivative(logts, rep: int) -> float:
     return _timed([lambda f=f: (f.inv().derivative(), f.inv().derivative()) for f in large])
 
 
+LAMBDA_PRINTED = 25
+
+
+def _print_lambda_warm(pcseq, rep: int) -> float:
+    terms = [pcseq.lambda_term(n) for n in range(LAMBDA_PRINTED)]
+    for t in terms:
+        str(t)
+    return _timed([lambda t=t: str(t) for t in terms])
+
+
+def _print_lambda_cold(pcseq, rep: int) -> float:
+    from aclab import logts
+    pcseq.lambda_term.cache_clear()
+    logts._interned.clear()
+    return _timed([lambda t=pcseq.lambda_term(n): str(t) for n in range(LAMBDA_PRINTED)])
+
+
 def _vectors(acouple, seed: int) -> list:
     rng = random.Random(seed)
     return [acouple.sample_elem(rng) for _ in range(BATCH)]
@@ -297,6 +320,11 @@ def _sample_elem(acouple, rep: int) -> float:
 def _vector_add(acouple, rep: int) -> float:
     pairs = zip(_vectors(acouple, rep), _vectors(acouple, rep + 10_000))
     return _timed([lambda a=a, b=b: a + b for a, b in pairs])
+
+
+def _vector_json(acouple, rep: int) -> float:
+    from aclab.ogroup import vector_json
+    return _timed([lambda g=g: vector_json(g) for g in _vectors(acouple, rep)])
 
 
 def _integrate(acouple, rep: int) -> float:
@@ -422,7 +450,10 @@ def main(argv: list[str] | None = None) -> int:
         "pc_prefix_lambda": (pcseq, _pc_prefix_lambda),
         "equivalent_lambda": (pcseq, _equivalent_lambda),
         "frac_inverse_derivative": (logts, _frac_inverse_derivative),
+        "print_lambda_warm": (pcseq, _print_lambda_warm),
+        "print_lambda_cold": (pcseq, _print_lambda_cold),
         "sample_elem": (acouple, _sample_elem),
+        "vector_json": (acouple, _vector_json),
         "vector_add": (acouple, _vector_add),
         "integrate": (acouple, _integrate),
         "psi": (acouple, _psi),
@@ -458,6 +489,7 @@ def main(argv: list[str] | None = None) -> int:
                  "series_mul_general": GENERAL_BATCH, "frac_eq_cross": GENERAL_BATCH,
                  "frac_eq_small": GENERAL_BATCH, "vdiff_cross": GENERAL_BATCH,
                  "frac_leibniz": GENERAL_BATCH, "frac_add_shared": GENERAL_BATCH,
+                 "print_lambda_warm": LAMBDA_PRINTED, "print_lambda_cold": LAMBDA_PRINTED,
                  "cli_extend": CLI_EXTEND_BATCH, "cli_val_power": CLI_POWER_BATCH,
                  "extend_chain": CHAIN_BATCH}.get(name, BATCH)
         results[name] = {"ns_per_op": statistics.median(samples), "repeats": REPEATS,
