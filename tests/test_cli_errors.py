@@ -34,9 +34,6 @@ def test_json_flag_is_gone(monkeypatch):
     (["set", "(less [1", "half"], "unclosed '['"),
     (["set", "(less [1/0])", "half"], "zero denominator in vector"),
     (["set", "psidown", "member [1/0]"], "zero denominator in vector"),
-    (["set", "(less [a])", "jammed"], "coefficient 'a' of vector '[a]' is not a rational number"),
-    (["set", "psidown", "member [x]"], "coefficient 'x' of vector '[x]' is not a rational number"),
-    (["set", "psidown", "member [1, , 2]"], "coefficient '' of vector '[1, , 2]' is not a rational number"),
     (["suite", "exclusion", "--cases", "-3"], "needs at least 1 case, got -3"),
     (["suite", "lambda", "--cases", "-1"], "needs at least 1 case, got -1"),
     (["suite", "couple", "--cases", "0"], "needs at least 1 case, got 0"),
@@ -49,6 +46,9 @@ def test_json_flag_is_gone(monkeypatch):
     (["classify", "trunc:x"], "couple 'trunc:x' needs a whole-number bound after 'trunc:'"),
     (["classify", "trunc:1_0"], "couple 'trunc:1_0' needs a whole-number bound after 'trunc:'"),
     (["classify", "trunc:+3"], "couple 'trunc:+3' needs a whole-number bound after 'trunc:'"),
+    (["set", "(less [a])", "jammed"], "coefficient 'a' of vector '[a]' is not a rational number"),
+    (["set", "psidown", "member [x]"], "coefficient 'x' of vector '[x]' is not a rational number"),
+    (["set", "psidown", "member [1, , 2]"], "coefficient '' of vector '[1, , 2]' is not a rational number"),
 ])
 def test_usage_errors_are_json(capsys, monkeypatch, argv, needle):
     monkeypatch.delenv("ACLAB_SEED", raising=False)
