@@ -18,6 +18,8 @@ constants are exactly the rationals.
 from __future__ import annotations
 
 import random
+import weakref
+from collections import deque
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -31,27 +33,48 @@ from .record import Record
 
 # Monomials are hash-consed (Filliatre & Conchon, "Type-safe modular
 # hash-consing", 2006): ``Monomial(g)`` and every monomial product return the
-# live instance for their exponent vector from one intern table.  A table that
-# reaches its cap is emptied, which bounds its memory.  A monomial built before
-# a clear is then a different object from an equal one built after it, so
-# equality falls back to comparing exponent vectors and no result depends on
-# which instance is used.  In ``Monomial.__mul__`` a factor 1 returns the other
-# factor; otherwise the summed exponent triples are looked up in ``_interned``,
-# and a ``GroupElem`` and a ``Monomial`` are built only for a new monomial.  No
-# comparison of field elements builds or interns a monomial (see ``_packing``).
-# Like ``_hash`` and ``_derivative``, a monomial keeps data derived from its
-# exponents: its printed text, in a ``_text`` slot left unset until the first
-# ``str``, so interning a monomial costs nothing more.
-INTERN_CAP = 1024
+# live instance for their exponent vector, so no two live monomials have equal
+# exponents, and equality and hashing are object identity.  ``_interned`` holds
+# each monomial weakly.  ``_drop`` removes an entry when its monomial dies, and
+# nothing else may: emptying the table would let equal monomials coexist.
+# ``_recent`` keeps the last KEPT_ALIVE monomials made alive, so that
+# successive requests find the monomials they share.  A product with a factor 1
+# returns the other factor; otherwise its summed exponent triples are looked
+# up, and a ``GroupElem`` and a ``Monomial`` are built only for a new monomial.
+# No comparison of field elements builds a monomial (see ``_packing``).  A
+# monomial computes its derivative terms and its text on first use and keeps
+# them, so interning one costs nothing more.
+KEPT_ALIVE = 128
 
-# Keyed by GroupElem.key, which also serves the structural equality fallback.
-_interned: dict[tuple[tuple[int, int, int], ...], "Monomial"] = {}
+
+class _Entry(weakref.ref):
+    """A weak reference to an interned monomial that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(entry: _Entry) -> None:
+    """Remove the entry of a monomial that has died, unless an equal monomial
+    made since has replaced it."""
+    if _interned.get(entry.key) is entry:
+        del _interned[entry.key]
+
+
+# Keyed by GroupElem.key.
+_interned: dict[Triples, _Entry] = {}
+_recent: deque["Monomial"] = deque(maxlen=KEPT_ALIVE)
+
+
+# ``_interned.get(key, _absent)()`` is the live monomial for ``key`` or None:
+# a dead entry returns None, and so does ``type(None)()`` for an absent key.
+_absent = type(None)
 
 
 class Monomial:
-    """A single product of generator powers, keyed by its exponent vector."""
+    """A single product of generator powers, one live instance per exponent
+    vector."""
 
-    __slots__ = ("exponents", "_hash", "_derivative", "_text")
+    __slots__ = ("exponents", "_derivative", "_text", "__weakref__")
 
     ONE: "Monomial"
 
@@ -71,20 +94,10 @@ class Monomial:
         if not ia:
             return other
         items = _merge(ia, ib, False)
-        return _interned.get(items) or _intern(_from_items(items))
+        return _interned.get(items, _absent)() or _intern(_from_items(items))
 
     def inv(self) -> "Monomial":
         return Monomial(-self.exponents)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.exponents.key == other.exponents.key
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def _derivative_triples(self) -> tuple[tuple["Monomial", int, int], ...]:
         """The finitely many terms of m': r_i, as (numerator, denominator),
@@ -107,15 +120,15 @@ class Monomial:
 def _intern(exponents: GroupElem) -> Monomial:
     """The live monomial for ``exponents``, made and registered if absent."""
     key = exponents.key
-    mono = _interned.get(key)
+    mono = _interned.get(key, _absent)()
     if mono is None:
-        if len(_interned) >= INTERN_CAP:
-            _interned.clear()
         mono = object.__new__(Monomial)
         object.__setattr__(mono, "exponents", exponents)
-        object.__setattr__(mono, "_hash", hash(("mono", exponents)))
         object.__setattr__(mono, "_derivative", None)
-        _interned[key] = mono
+        entry = _Entry(mono, _drop)
+        entry.key = key
+        _interned[key] = entry
+        _recent.append(mono)
     return mono
 
 
@@ -918,10 +931,10 @@ def check_axioms(sample_size: int, seed: int) -> Report:
         h = random_frac(rng)
 
         # Field and derivation algebra.
-        fg, f_plus_g = f * g, f + g
-        if f_plus_g * h != f * h + g * h:
+        fg, f_plus_g, gh = f * g, f + g, g * h
+        if f_plus_g * h != f * h + gh:
             report.fail("distributivity", case, f=f, g=g, h=h)
-        if fg * h != f * (g * h):
+        if fg * h != f * gh:
             report.fail("mul-associativity", case, f=f, g=g, h=h)
         if fg.derivative() != f.derivative() * g + f * g.derivative():
             report.fail("leibniz", case, f=f, g=g)

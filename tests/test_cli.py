@@ -2,10 +2,14 @@
 
 from fractions import Fraction
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import aclab
 from aclab.cli import (
     Add,
     Der,
@@ -220,3 +224,24 @@ class TestCommands:
         monkeypatch.delenv("ACLAB_SEED")
         args = build_parser().parse_args(["suite", "couple"])
         assert args.seed == 17
+
+
+# Monomials hash by identity, that is by address, so a printer that iterated
+# over a set of them would print in an order that varies between runs.
+PRINTING_REQUESTS = (
+    ["val", "--", "x^2*l1 + 3*l2^(1/2) - 5*x*l3 + l1^-1"],
+    ["lambda", "12"],
+    ["extend", "step", "--kind", "smallexpint", "--iters", "5"],
+    ["psi", "--", "(x + l1)/(l2^2 - 1)"],
+)
+
+
+def test_printed_bytes_do_not_depend_on_the_interpreter():
+    code = f"from aclab import cli\nfor argv in {PRINTING_REQUESTS!r}:\n    cli.main(list(argv))\n"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aclab.__file__)))
+    outs = [subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src,
+                                                                "PYTHONHASHSEED": seed},
+                           capture_output=True, check=True).stdout
+            for seed in ("1", "2718")]
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == len(PRINTING_REQUESTS)

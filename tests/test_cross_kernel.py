@@ -134,11 +134,14 @@ class TestFracEntryPoints:
         sizes = [len(f.num) * len(g.den) + len(g.num) * len(f.den) for f, g in pairs]
         # Every size: pairs below 24 term pairs as well as far above them.
         assert sum(n < 24 for n in sizes) >= 20 and sum(n >= 48 for n in sizes) >= 20
-        interned = dict(logts._interned)
+        # Every monomial made is registered and joins the keep-alive ring, so
+        # an unchanged table and ring mean that no monomial was made.
+        interned, recent = dict(logts._interned), list(logts._recent)
         answers = [(f == g, f != g, f < g, f >= g, vdiff(g, f), similar(f, g)) for f, g in pairs]
         assert any(a[0] for a in answers) and not all(a[0] for a in answers)
         assert logts._interned == interned
-        assert all(logts._interned[k] is m for k, m in interned.items())
+        assert all(logts._interned[k] is e for k, e in interned.items())
+        assert list(logts._recent) == recent
 
     def test_cross_kernel_keeps_the_term_pair_budget(self, monkeypatch):
         f, g = next((f, g) for f, g in _unequal_forms(random.Random(79), 20, 5, 3) if len(f.num) * len(g.den) > 2)

@@ -1,7 +1,9 @@
 """Derivation, valuation, and field-law tests for the logarithmic tower."""
 
+import itertools
 import random
-from collections import Counter
+import weakref
+from collections import Counter, deque
 from fractions import Fraction
 from math import gcd
 
@@ -424,9 +426,13 @@ class TestOdeComparison:
             ode_second_order_check(ell(1), x_elem(), Frac.from_rat(0))
 
 
-def _distinct_monomials(count: int, index: int = 9) -> list[Monomial]:
-    """``count`` monomials no other test builds: powers of one generator."""
-    return [Monomial(unit(index).scale(Fraction(k + 1, 7919))) for k in range(count)]
+_FRESH = itertools.count(1)
+
+
+def _fresh_monomials(count: int) -> list[Monomial]:
+    """``count`` monomials whose exponents no earlier call and no other test
+    builds: powers l9^(k/7919) of one generator, k never repeated."""
+    return [Monomial(unit(9).scale(Fraction(next(_FRESH), 7919))) for _ in range(count)]
 
 
 def _leibniz_texts(seed: int, cases: int) -> list[str]:
@@ -438,9 +444,19 @@ def _leibniz_texts(seed: int, cases: int) -> list[str]:
     return out
 
 
+def _live(key):
+    """The monomial the intern table holds for ``key``, or None."""
+    entry = logts._interned.get(key)
+    return None if entry is None else entry()
+
+
+# More fresh monomials than the keep-alive ring holds twice over, and more
+# than the 1,024 entries a table emptied when full would hold.
+FLOOD = 1025
+
+
 class TestHashConsing:
     def test_equal_monomials_are_one_instance_below_the_cap(self):
-        logts._interned.clear()
         a = Monomial(V("[1, -2]"))
         assert Monomial(V("[1, -2]")) is a
         b = Monomial(V("[0, 1/2, 3]"))
@@ -448,75 +464,114 @@ class TestHashConsing:
         assert a * b is Monomial(V("[1, -3/2, 3]"))
 
     def test_equal_across_a_clear(self):
-        logts._interned.clear()
+        # Nothing empties the table: a monomial that a value holds is the one
+        # every later construction of its exponents returns, however many
+        # fresh monomials come between.
         before = Monomial(V("[3, 1/2]"))
         rng = random.Random(5)
         left, right = random_series(rng, max_terms=4), random_series(rng, max_terms=4)
-        _distinct_monomials(logts.INTERN_CAP + 1)
-        after = Monomial(V("[3, 1/2]"))
-        assert after is not before
-        assert after == before and hash(after) == hash(before)
-        assert hash(after) == hash(("mono", after.exponents))
-        assert {before: 1}[after] == 1
-        # left's monomials predate the clear; the rebuilt copy's do not.
-        rebuilt = Series({Monomial(GroupElem(m.exponents.items)): c
-                          for m, c in left.terms.items()})
-        assert any(m is not n for m, n in zip(left.terms, rebuilt.terms))
+        _fresh_monomials(FLOOD)
+        assert Monomial(V("[3, 1/2]")) is before
+        assert {before: 1}[Monomial(GroupElem(before.exponents.items))] == 1
+        rebuilt = Series({Monomial(GroupElem(m.exponents.items)): c for m, c in left.terms.items()})
+        assert all(m is n for m, n in zip(left.terms, rebuilt.terms))
         across = left * right
         assert across == rebuilt * right
         assert hash(across) == hash(rebuilt * right)
         assert str(across) == str(rebuilt * right)
 
     def test_tables_never_exceed_their_caps(self):
-        for k in range(2 * logts.INTERN_CAP + 5):
-            Monomial(unit(8).scale(k + 1))
-            assert len(logts._interned) <= logts.INTERN_CAP
-        pool = _distinct_monomials(100, index=7)
+        # The table holds the live monomials only: those some value holds and
+        # the last KEPT_ALIVE made.
+        base = len(logts._interned)
+        for _ in range(2 * logts.KEPT_ALIVE + 5):
+            _fresh_monomials(1)
+            assert len(logts._interned) <= base + logts.KEPT_ALIVE
+        assert len(logts._recent) == logts.KEPT_ALIVE
+        pool = _fresh_monomials(40)
         for a in pool:
             for b in pool:
                 a * b
-                assert len(logts._interned) <= logts.INTERN_CAP
+                assert len(logts._interned) <= base + len(pool) + logts.KEPT_ALIVE
 
     def test_tiny_caps_change_no_result(self, monkeypatch):
         expected = _leibniz_texts(seed=13, cases=40)
-        monkeypatch.setattr(logts, "INTERN_CAP", 8)
-        logts._interned.clear()
+        monkeypatch.setattr(logts, "_recent", deque(maxlen=1))
+        _fresh_monomials(1)
         got = _leibniz_texts(seed=13, cases=40)
-        assert len(logts._interned) <= 8
         assert got == expected
 
     @given(monomials(), monomials())
     def test_product_is_the_monomial_of_the_summed_exponents(self, a, b):
         exps = a.exponents + b.exponents
         product = a * b
-        assert product == Monomial(exps)
+        assert product is Monomial(exps)
         assert product.exponents == exps
-        assert hash(product) == hash(("mono", exps))
 
+    @settings(max_examples=15)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2 ** 16)), min_size=20, max_size=40))
+    def test_equal_exponents_give_one_object(self, steps):
+        """Products, inverses, derivative terms and ``Monomial(g)``, mixed
+        with more than twice KEPT_ALIVE fresh monomials, some results held
+        and the rest dropped: a monomial built while an equal one lives is
+        that same object."""
+        seen: dict = {}
+        held = [Monomial(V("[1, -1/2]")), Monomial(V("[0, 2, 0, 1/3]"))]
+        flood = 2 * logts.KEPT_ALIVE // 20 + 1
+        for op, pick in steps:
+            a, b = held[pick % len(held)], held[(pick >> 8) % len(held)]
+            made = ([a * b], [a.inv()], [m for m, _, _ in a._derivative_triples()],
+                    [Monomial(ogroup._from_items(b.exponents.key))])[op]
+            made += _fresh_monomials(flood)
+            for m in made:
+                key = m.exponents.key
+                ref = seen.get(key)
+                assert ref is None or ref() in (None, m)
+                assert _live(key) is m
+                seen[key] = weakref.ref(m)
+            held.append(made[pick % len(made)])
+            if pick % 3 == 0:
+                del held[pick % len(held)]
+        assert len(steps) * flood > 2 * logts.KEPT_ALIVE
+        for key, ref in seen.items():
+            m = ref()
+            assert m is None or Monomial(ogroup._from_items(key)) is m
 
-@pytest.fixture
-def fresh_table(monkeypatch):
-    """The intern table as at import: it holds only ``Monomial.ONE``."""
-    monkeypatch.setattr(logts, "_interned", {(): Monomial.ONE})
+    def test_a_monomial_held_by_a_live_series_stays_the_one(self):
+        g = GroupElem([(2, Fraction(-7, 9)), (5, 3)])
+        s = Series.monomial(Monomial(g), 4)
+        _fresh_monomials(FLOOD)
+        (held,) = s._nums
+        assert Monomial(g) is held
+        assert s == Series.monomial(Monomial(g), 4)
+
+    def test_an_entry_leaves_the_table_with_its_last_holder(self):
+        (mono,) = _fresh_monomials(1)
+        key, ref = mono.exponents.key, weakref.ref(mono)
+        del mono
+        assert _live(key) is ref()
+        _fresh_monomials(logts.KEPT_ALIVE)
+        assert ref() is None and key not in logts._interned
 
 
 class TestFreshMonomials:
-    def test_a_unit_factor_returns_the_other_factor_and_builds_nothing(self, fresh_table, monkeypatch):
+    def test_a_unit_factor_returns_the_other_factor_and_builds_nothing(self, monkeypatch):
         monos = (Monomial(V("[1, -2]")), Monomial(V("[0, 1/2, 3]")), Monomial.ONE)
-        interned = dict(logts._interned)
+        interned, recent = dict(logts._interned), list(logts._recent)
         merged = []
         monkeypatch.setattr(logts, "_merge", lambda *args: merged.append(args))
         for m in monos:
             assert m * Monomial.ONE is m and Monomial.ONE * m is m
-        assert merged == [] and logts._interned == interned
+        assert merged == [] and logts._interned == interned and list(logts._recent) == recent
 
-    def test_a_product_that_cancels_is_the_monomial_one(self, fresh_table):
+    def test_a_product_that_cancels_is_the_monomial_one(self):
         x = Monomial(unit(0))
         assert x * x.inv() is Monomial.ONE and x.inv() * x is Monomial.ONE
+        assert Monomial(GroupElem.ZERO) is Monomial.ONE
 
-    def test_an_interned_product_builds_no_exponent_vector(self, fresh_table, monkeypatch):
-        a, b = Monomial(V("[1, 1/2]")), Monomial(V("[0, -1, 3]"))
-        interned = Monomial(V("[1, -1/2, 3]"))
+    def test_an_interned_product_builds_no_exponent_vector(self, monkeypatch):
+        a, b = Monomial(V("[1, 1/2, 0, 0, 2/7919]")), Monomial(V("[0, -1, 3]"))
+        interned = Monomial(V("[1, -1/2, 3, 0, 2/7919]"))
         built = []
         from_items = logts._from_items
         for module in (logts, ogroup):
@@ -524,11 +579,10 @@ class TestFreshMonomials:
         size = len(logts._interned)
         assert a * b is interned and built == [] and len(logts._interned) == size
         fresh = interned * b
-        assert built == [fresh.exponents.key] and fresh is Monomial(V("[1, -3/2, 6]"))
-        assert hash(fresh) == hash(("mono", fresh.exponents))
+        assert built == [fresh.exponents.key] and fresh is Monomial(V("[1, -3/2, 6, 0, 2/7919]"))
+        assert _live(fresh.exponents.key) is fresh
 
-
-    def test_a_shift_by_the_monomial_one_makes_no_monomial_product(self, fresh_table, monkeypatch):
+    def test_a_shift_by_the_monomial_one_makes_no_monomial_product(self, monkeypatch):
         s = Series([(Monomial(V("[1, -2]")), 3), (Monomial(V("[0, 1/2]")), Fraction(-1, 2)), (Monomial.ONE, 5)])
         three = Series.from_rat(3)
         calls = []
@@ -625,11 +679,10 @@ class TestUnitFactor:
                 assert s * Series.ONE is s and Series.ONE * s is s
 
     def test_unit_built_after_a_clear_is_a_unit(self):
-        logts._interned.clear()
         s = random_series(random.Random(31), max_terms=4)
-        _distinct_monomials(logts.INTERN_CAP + 1)
+        _fresh_monomials(FLOOD)
         unit_again = Series.monomial(Monomial(GroupElem.ZERO))
-        assert unit_again.leading()[0] is not Monomial.ONE
+        assert unit_again.leading()[0] is Monomial.ONE
         assert s * unit_again is s and unit_again * s is s
 
     def test_near_units_multiply_in_full(self):
@@ -669,17 +722,18 @@ class TestDerivativeSlot:
                 assert _key_terms(r.derivative()) == _reference_derivative(r)
 
     def test_slot_across_a_clear_with_tiny_caps(self, monkeypatch):
-        monkeypatch.setattr(logts, "INTERN_CAP", 8)
-        logts._interned.clear()
+        # With a keep-alive ring of one, every monomial that no value holds
+        # dies at once and is built again, without its derivative terms.
+        monkeypatch.setattr(logts, "_recent", deque(maxlen=1))
         samples = _unit_samples(seed=53, count=80)
         firsts = [s.derivative() for s in samples]
-        _distinct_monomials(9)
+        _fresh_monomials(2)
         for s, first in zip(samples, firsts):
             again = s.derivative()
             assert again is first
             assert _key_terms(again) == _reference_derivative(s)
             assert s.derivative() == Series(s.terms).derivative()
-        assert len(logts._interned) <= 8
+        assert len(logts._recent) == 1
 
 
 class TestFracMemo:

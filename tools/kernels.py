@@ -12,17 +12,17 @@ Inputs are seeded and the same on every checkout.  Kernels:
 
   series_mul_unit       s * 1 on random series of up to 4 terms
   series_mul_general    s * t on random series of up to 4 terms, timed on
-                        the batch's second pass, so that every term product
-                        finds its monomial in the intern table (30 pairs, so
-                        that the table holds them all)
-  monomial_mul_fresh    a * b whose product is not in the intern table
-  monomial_mul_interned the same a * b again, whose product the intern
-                        table holds
+                        the batch's second pass while the first pass's
+                        products are held, so that every term product finds
+                        its monomial in the intern table (30 pairs)
+  monomial_mul_fresh    a * b whose product no earlier call built: a's
+                        exponents count up over all calls
+  monomial_mul_interned the same a * b again, with the first products held,
+                        so that the intern table holds each product
   derivative_first      s.derivative() on a series not differentiated yet
   derivative_repeat     the same call again on the same series
   frac_eq_cross         f == g for f (up to 8 numerator and 4 denominator
-                        terms) against itself over another denominator,
-                        intern table cleared before the inputs are built
+                        terms) against itself over another denominator
                         (30 pairs; two thirds form 24 term pairs or more)
   frac_eq_small         the same with up to 2 numerator and 2 denominator
                         terms, at most 16 term pairs: the cross kernel
@@ -31,8 +31,10 @@ Inputs are seeded and the same on every checkout.  Kernels:
                         another denominator (30 pairs, built as above)
   frac_leibniz          the Leibniz line of check_axioms, (f*g)' != f'*g +
                         f*g', on seeded f and g that both have denominators
-                        (30 pairs, fresh elements per repeat, intern table
-                        cleared before they are built)
+                        (30 pairs, fresh elements per repeat, every exponent
+                        vector scaled by a prime above 1,000 that no earlier
+                        repeat used, so that no monomial they make was made
+                        before; a positive scale keeps the monomial order)
   frac_add_shared       f*h + g*h for seeded f, g and h, h with a
                         denominator (30 triples, built as above)
   kaplansky_check       pcseq.kaplansky_check on the quotient-limit pair
@@ -47,13 +49,13 @@ Inputs are seeded and the same on every checkout.  Kernels:
   frac_inverse_derivative
                         f.inv().derivative() twice on each seeded f with
                         v(f) < 0, as check_axioms' small and bounded lines
-                        do (fresh elements per repeat, intern table
-                        cleared before they are built)
+                        do (fresh elements per repeat, scaled as above)
   print_lambda_warm     str(pcseq.lambda_term(n)) for n = 0..24, terms taken
                         from the cache and printed once before the batch
-  print_lambda_cold     the same on terms rebuilt after
-                        pcseq.lambda_term.cache_clear() and an emptied
-                        intern table (untimed), so no monomial holds its text
+  print_lambda_cold     the same on terms rebuilt after both lambda caches
+                        are cleared and KEPT_ALIVE fresh monomials are made
+                        (untimed): no live value holds the old terms'
+                        monomials, so the rebuilt ones have no text yet
   sample_elem           acouple.sample_elem(rng) at its defaults
   vector_json           ogroup.vector_json(g) on sampled vectors
   vector_add            a + b on sampled vectors (GroupElem.__add__ over
@@ -112,6 +114,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -148,28 +151,38 @@ def _timed(ops) -> float:
     return (time.thread_time_ns() - start) / len(ops)
 
 
+def _timed_again(ops) -> float:
+    """``_timed`` on a second batch of ``ops``, the first batch's results
+    held meanwhile, so that the second finds every monomial they made."""
+    held = [op() for op in ops]
+    ns = _timed(ops)
+    del held
+    return ns
+
+
 def _series_mul_unit(logts, rep: int) -> float:
     one = logts.Series.ONE
     return _timed([lambda s=s: s * one for s in _series_batch(logts, rep)])
 
 
 def _series_mul_general(logts, rep: int) -> float:
-    logts._interned.clear()
     left = _series_batch(logts, rep, GENERAL_BATCH)
     right = _series_batch(logts, rep + 10_000, GENERAL_BATCH)
-    ops = [lambda s=s, t=t: s * t for s, t in zip(left, right)]
-    _timed(ops)
-    return _timed(ops)
+    return _timed_again([lambda s=s, t=t: s * t for s, t in zip(left, right)])
+
+
+# Counts the calls of _monomial_pairs, so that each call's products are new.
+_PAIR_CALLS = itertools.count()
 
 
 def _monomial_pairs(logts, rep: int) -> list:
-    """Factor pairs with exponents no other kernel builds, in an empty intern
-    table."""
+    """Factor pairs with exponents no other kernel builds, whose products no
+    earlier call built."""
     from aclab.ogroup import GroupElem
-    logts._interned.clear()
+    first = next(_PAIR_CALLS) * BATCH
     pairs = []
     for k in range(BATCH):
-        a = logts.Monomial(GroupElem([(0, 1), (5, Fraction(rep * BATCH + k + 1, 104729))]))
+        a = logts.Monomial(GroupElem([(0, 1), (5, Fraction(first + k + 1, 104729))]))
         b = logts.Monomial(GroupElem([(1, -1), (6, Fraction(k + 1, 7919))]))
         pairs.append((a, b))
     return pairs
@@ -180,9 +193,7 @@ def _monomial_mul_fresh(logts, rep: int) -> float:
 
 
 def _monomial_mul_interned(logts, rep: int) -> float:
-    ops = [lambda a=a, b=b: a * b for a, b in _monomial_pairs(logts, rep)]
-    _timed(ops)
-    return _timed(ops)
+    return _timed_again([lambda a=a, b=b: a * b for a, b in _monomial_pairs(logts, rep)])
 
 
 def _fresh_copies(logts, rep: int) -> list:
@@ -203,7 +214,6 @@ def _cross_pairs(logts, rep: int, perturb: bool, num_terms: int = 8, den_terms: 
     """f and f (plus a term below its leading one, when perturb) over
     another denominator: equal leading terms, unequal denominators."""
     from aclab.ogroup import GroupElem
-    logts._interned.clear()
     rng = random.Random(rep)
     pairs = []
     for _ in range(GENERAL_BATCH):
@@ -231,16 +241,41 @@ def _vdiff_cross(logts, rep: int) -> float:
     return _timed([lambda f=f, g=g: logts.vdiff(f, g) for f, g in _cross_pairs(logts, rep, True)])
 
 
+def _primes_from(n: int):
+    """The primes above n, in increasing order."""
+    while True:
+        n += 1
+        if all(n % k for k in range(2, int(n ** 0.5) + 1)):
+            yield n
+
+
+# One scale per call of _unseen.  A vector scaled by a prime p above 1,000 has
+# every numerator a multiple of p, since no seeded denominator is; the seeded
+# vectors and their sums have numerators far below 1,000, so no other scale
+# gives the same vector.
+_SCALES = _primes_from(1_000)
+
+
+def _unseen(logts, elems: list) -> list:
+    """``elems`` with every exponent vector times the next prime of
+    ``_SCALES``: the same shapes and order, on monomials no earlier call
+    made."""
+    p = next(_SCALES)
+
+    def scaled(s):
+        return logts.Series({logts.Monomial(m.exponents.scale(p)): c for m, c in s.terms.items()})
+    return [logts.Frac(scaled(f.num), scaled(f.den)) for f in elems]
+
+
 def _quotients(logts, rep: int, count: int) -> list:
-    """Seeded elements that have denominators, in a cleared intern table."""
-    logts._interned.clear()
+    """Seeded elements that have denominators, made unseen."""
     rng = random.Random(rep)
     out = []
     while len(out) < count:
         f = logts.random_frac(rng)
         if len(f.den) > 1:
             out.append(f)
-    return out
+    return _unseen(logts, out)
 
 
 def _frac_leibniz(logts, rep: int) -> float:
@@ -280,14 +315,13 @@ def _equivalent_lambda(pcseq, rep: int) -> float:
 
 
 def _frac_inverse_derivative(logts, rep: int) -> float:
-    logts._interned.clear()
     rng = random.Random(rep)
     large = []
     while len(large) < GENERAL_BATCH:
         f = logts.random_frac(rng)
         if f.valuation() < logts.GroupElem.ZERO:
             large.append(f)
-    return _timed([lambda f=f: (f.inv().derivative(), f.inv().derivative()) for f in large])
+    return _timed([lambda f=f: (f.inv().derivative(), f.inv().derivative()) for f in _unseen(logts, large)])
 
 
 LAMBDA_PRINTED = 25
@@ -302,8 +336,12 @@ def _print_lambda_warm(pcseq, rep: int) -> float:
 
 def _print_lambda_cold(pcseq, rep: int) -> float:
     from aclab import logts
+    from aclab.ogroup import GroupElem
     pcseq.lambda_term.cache_clear()
-    logts._interned.clear()
+    pcseq._perturbed_term.cache_clear()
+    first = (rep + 1) * 1_000
+    for k in range(getattr(logts, "KEPT_ALIVE", 0)):
+        logts.Monomial(GroupElem([(3, Fraction(first + k, 7919))]))
     return _timed([lambda t=pcseq.lambda_term(n): str(t) for n in range(LAMBDA_PRINTED)])
 
 
